@@ -497,10 +497,13 @@ def _document_path_elements(document: Document, path) -> list[Element]:
     if not rest:
         return root_matches
     remainder = Path(tuple(rest))
-    out: list[Element] = []
+    # nested matches of the first step reach the same element twice; a
+    # node binds once (by identity — equal siblings are distinct nodes)
+    out: dict[int, Element] = {}
     for element in root_matches:
-        out.extend(evaluate_elements(remainder, element))
-    return out
+        for found in evaluate_elements(remainder, element):
+            out.setdefault(id(found), found)
+    return list(out.values())
 
 
 def _preorder_rank(stored: _StoredDocument, element: Element) -> int:

@@ -911,15 +911,16 @@ class ScatterGatherExecutor:
                 var: var_rows[var].bindings[var]
                 for var in plan.variables})
 
-            def values_for(varpath: VarPath, __=None) -> list[str]:
+            def values_for(varpath: VarPath) -> list[str]:
                 return var_rows[varpath.var].values.get(
                     str(varpath), [])
 
             for column, item in zip(columns, plan.query.returns):
                 if item.constructor is not None:
-                    maps = [None] * len(item.constructor.varpaths())
-                    element = _build_element(item.constructor, maps,
-                                             values_for)
+                    element = _build_element(
+                        item.constructor,
+                        [values_for(varpath)
+                         for varpath in item.constructor.varpaths()])
                     row.elements[column] = element
                     row.values[column] = [serialize_compact(element)]
                 else:

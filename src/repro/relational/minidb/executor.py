@@ -8,7 +8,9 @@ SELECT execution pipeline:
    is brought in by a **hash join** when an equi-join conjunct connects
    it to the tables already joined, otherwise by nested loop. Residual
    conjuncts apply as soon as all their columns are in scope
-   (predicate pushdown).
+   (predicate pushdown). ``LEFT JOIN`` tables come last, in text order:
+   their ON conjuncts only decide what matches (an unmatched outer row
+   survives NULL-padded) and WHERE conjuncts over them apply after.
 3. **Access paths** — a table's single-table equality conjunct probes a
    matching index (hash or ordered); range conjuncts
    (``<,<=,>,>=``) use an ordered index's bisect scan; otherwise a
@@ -84,11 +86,17 @@ def execute_select(catalog: Catalog, select: Select,
     conjuncts: list[Expr] = []
     if select.where is not None:
         conjuncts.extend(_split_and(select.where))
+    outer_joins: list[tuple[TableRef, list[Expr]]] = []
     for join in select.joins:
-        conjuncts.extend(_split_and(join.on))
+        if join.outer:
+            outer_joins.append((join.ref, _split_and(join.on)))
+        else:
+            conjuncts.extend(_split_and(join.on))
 
-    needed = _needed_columns(select, conjuncts)
-    rows, scope = _run_joins(catalog, refs, conjuncts, params, plan,
+    needed = _needed_columns(
+        select, conjuncts + [c for __, on in outer_joins for c in on])
+    rows, scope = _run_joins(catalog, refs[:len(refs) - len(outer_joins)],
+                             conjuncts, params, plan, outer_joins,
                              distinct=select.distinct, needed=needed)
 
     if select.group_by or _has_aggregates(select.items):
@@ -133,13 +141,15 @@ def _needed_columns(select: Select,
 
 def _run_joins(catalog: Catalog, refs: list[TableRef],
                conjuncts: list[Expr], params: Sequence,
-               plan: Plan, distinct: bool = False,
+               plan: Plan,
+               outer_joins: Sequence[tuple[TableRef, list[Expr]]] = (),
+               distinct: bool = False,
                needed: set[tuple[str | None, str]] | None = None
                ) -> tuple[list[tuple], _Scope]:
     remaining = list(conjuncts)
     scope = _Scope()
     rows: list[tuple] = []
-    single_table = len(refs) == 1
+    single_table = len(refs) == 1 and not outer_joins
     if single_table:
         # bare column names can only mean the one table: qualify them so
         # pushdown and access-path selection see them
@@ -176,6 +186,14 @@ def _run_joins(catalog: Catalog, refs: list[TableRef],
                       f"{len(deduped)} rows")
         return list(deduped)
 
+    def settle(current: list[tuple], ref: TableRef) -> list[tuple]:
+        """Apply the conjuncts ``ref`` just made fully bound."""
+        for conjunct in _take_bound(remaining, scope.aliases):
+            predicate = conjunct.compile(scope.env)
+            current = [row for row in current if predicate(row, params)]
+            plan.note(f"filter after {ref.alias}: {len(current)} rows")
+        return compact(current)
+
     for position, ref in enumerate(refs):
         table = catalog.table(ref.table)
         table_conjuncts = _take_single_table(remaining, ref.alias)
@@ -199,13 +217,19 @@ def _run_joins(catalog: Catalog, refs: list[TableRef],
                 plan.note(f"nested loop join {ref.table} as {ref.alias} "
                           f"({len(new_rows)} rows)")
                 rows = [outer + inner for outer in rows for inner in new_rows]
-        # conjuncts that just became fully bound
-        applicable = _take_bound(remaining, scope.aliases)
-        for conjunct in applicable:
-            predicate = conjunct.compile(scope.env)
-            rows = [row for row in rows if predicate(row, params)]
-            plan.note(f"filter after {ref.alias}: {len(rows)} rows")
-        rows = compact(rows)
+        rows = settle(rows, ref)
+    for ref, on in outer_joins:
+        table = catalog.table(ref.table)
+        table_conjuncts = _take_single_table(on, ref.alias)
+        equi = _take_equi_joins(on, scope.aliases, ref.alias)
+        new_scope_offset = scope.width
+        scope.add_table(ref.alias, table)
+        extend_mask(ref, table)
+        new_rows = _scan_table(table, ref, table_conjuncts,
+                               _solo_scope(ref.alias, table), params, plan)
+        rows = _hash_join(rows, new_rows, equi, scope, ref,
+                          new_scope_offset, plan, params, left_on=on)
+        rows = settle(rows, ref)
     # leftovers: conjuncts with unqualified refs in a multi-table query
     # (resolvable only if the bare name is unambiguous in the full scope)
     for conjunct in remaining:
@@ -423,13 +447,16 @@ def _constant_value(expr: Expr, params: Sequence):
 
 def _hash_join(outer_rows: list[tuple], inner_rows: list[tuple],
                equi: list[tuple[Expr, Expr]], scope: _Scope, ref: TableRef,
-               inner_offset: int, plan: Plan,
-               params: Sequence) -> list[tuple]:
+               inner_offset: int, plan: Plan, params: Sequence,
+               left_on: list[Expr] | None = None) -> list[tuple]:
     """Hash join: build on the (new) inner table, probe with outer rows.
 
     ``equi`` pairs are (outer_side_expr, inner_side_expr); inner exprs
     reference only the new table, so they compile against a shifted
-    solo layout.
+    solo layout. ``left_on`` (not None) makes it a LEFT JOIN: a pair
+    must also pass those residual ON conjuncts to match, and an outer
+    row nothing matches is kept, NULL-padded. Without ``equi`` pairs
+    every inner row lands in one bucket — a nested loop.
     """
     inner_env = ColumnEnv()
     # rebuild inner layout at offset zero for key extraction
@@ -446,18 +473,24 @@ def _hash_join(outer_rows: list[tuple], inner_rows: list[tuple],
         if any(part is None for part in key):
             continue
         build.setdefault(key, []).append(row)
-    plan.note(f"hash join {ref.table} as {ref.alias} "
+    plan.note(f"{'hash' if left_on is None else 'left hash'} join "
+              f"{ref.table} as {ref.alias} "
               f"(build {len(inner_rows)} rows, {len(equi)} key parts)")
 
+    residual = [conjunct.compile(scope.env) for conjunct in left_on or ()]
     joined: list[tuple] = []
     pad = (None,) * width
     for outer in outer_rows:
         padded = outer + pad
         key = tuple(fn(padded, params) for fn in outer_keys)
-        if any(part is None for part in key):
-            continue
-        for inner in build.get(key, ()):
-            joined.append(outer + inner)
+        matches = [] if None in key else [
+            outer + inner for inner in build.get(key, ())]
+        if residual:
+            matches = [row for row in matches
+                       if all(fn(row, params) for fn in residual)]
+        if left_on is not None and not matches:
+            matches = [padded]
+        joined += matches
     return joined
 
 

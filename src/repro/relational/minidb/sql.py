@@ -2,8 +2,8 @@
 
 Covers the dialect the warehouse uses — DDL
 (``CREATE TABLE/INDEX``, ``DROP``), DML (``INSERT``, ``DELETE``) and
-queries (``SELECT`` with joins, WHERE, GROUP BY, ORDER BY, LIMIT,
-DISTINCT, aggregates) — with ``?`` positional parameters. It is the
+queries (``SELECT`` with inner and trailing ``LEFT [OUTER]`` joins,
+WHERE, GROUP BY, ORDER BY, LIMIT, DISTINCT, aggregates) — with ``?`` positional parameters. It is the
 same surface the SQLite backend consumes, so one SQL string from the
 XQ2SQL-transformer runs on either engine.
 """
@@ -40,7 +40,8 @@ _SYMBOLS = ("<=", ">=", "!=", "<>", "(", ")", ",", ".", "=", "<", ">",
             "+", "-", "*", "/", "?", ";")
 
 _KEYWORDS = {
-    "select", "distinct", "from", "join", "inner", "left", "on", "where",
+    "select", "distinct", "from", "join", "inner", "left", "outer", "on",
+    "where",
     "and", "or", "not", "in", "is", "null", "like", "group", "order", "by",
     "asc", "desc", "limit", "as", "create", "table", "index", "unique",
     "drop", "if", "exists", "insert", "into", "values", "delete",
@@ -205,10 +206,11 @@ class TableRef:
 
 @dataclass
 class Join:
-    """``JOIN table alias ON condition``."""
+    """``[INNER | LEFT [OUTER]] JOIN table alias ON condition``."""
 
     ref: TableRef
     on: Expr
+    outer: bool = False
 
 
 @dataclass
@@ -428,18 +430,29 @@ class _Parser:
             select.items.append(self.parse_select_item())
         self.expect_keyword("from")
         select.base = self.parse_table_ref()
+        outer_seen = False
         while True:
+            # FROM is evaluated left to right; keeping every LEFT JOIN
+            # last lets the executor order the inner tables freely
             if self.accept_symbol(","):
+                if outer_seen:
+                    self.error("only LEFT JOIN may follow a LEFT JOIN")
                 select.cross.append(self.parse_table_ref())
                 continue
             inner = self.accept_keyword("inner")
+            outer = not inner and self.accept_keyword("left")
+            if outer:
+                self.accept_keyword("outer")
             if self.accept_keyword("join"):
+                if outer_seen and not outer:
+                    self.error("only LEFT JOIN may follow a LEFT JOIN")
+                outer_seen = outer
                 ref = self.parse_table_ref()
                 self.expect_keyword("on")
-                select.joins.append(Join(ref, self.parse_expr()))
+                select.joins.append(Join(ref, self.parse_expr(), outer))
                 continue
-            if inner:
-                self.error("expected JOIN after INNER")
+            if inner or outer:
+                self.error("expected JOIN")
             break
         if self.accept_keyword("where"):
             select.where = self.parse_expr()

@@ -118,9 +118,8 @@ class QueryResult:
 
     def to_xml(self) -> str:
         """XML rendering of the result values (the GUI's XML view)."""
-        from repro.results.tagger import tag_result
-        from repro.xmlkit import serialize
-        return serialize(tag_result(self))
+        from repro.results.tagger import tagged_xml
+        return tagged_xml(self)
 
     def to_tsv(self) -> str:
         """Tab-separated export (for downstream file-driven tools)."""

@@ -13,12 +13,17 @@ format of the result." Output shape::
     </xomatiq_results>
 
 Column names are sanitized into valid element names (the ``@`` of
-attribute items becomes a prefix).
+attribute items becomes a prefix). The document is written line by
+line straight from the rows — the same bytes the pretty serializer
+prints for the equivalent element tree, without building that tree;
+only constructor items, which *are* elements, go through the
+serializer's pretty writer.
 """
 
 from __future__ import annotations
 
-from repro.xmlkit import Document, Element, is_valid_name
+from repro.xmlkit import is_valid_name
+from repro.xmlkit.serializer import escape_text, write_pretty
 
 RESULTS_TAG = "xomatiq_results"
 RESULT_TAG = "result"
@@ -38,23 +43,34 @@ def element_name_for(column: str) -> str:
     return cleaned
 
 
-def tag_result(result) -> Document:
-    """Build the result document for a
-    :class:`~repro.results.resultset.QueryResult`."""
-    root = Element(RESULTS_TAG)
-    root.set("rows", str(len(result.rows)))
+def tagged_xml(result) -> str:
+    """The result document of a
+    :class:`~repro.results.resultset.QueryResult`, pretty-printed."""
+    lines = ['<?xml version="1.0" encoding="UTF-8"?>']
+    if not result.rows:
+        lines.append(f'<{RESULTS_TAG} rows="0"/>')
+        return "\n".join(lines) + "\n"
+    lines.append(f'<{RESULTS_TAG} rows="{len(result.rows)}">')
+    # per column: (column, explicit empty element, open tag, close tag)
+    shapes = []
+    for column in result.columns:
+        tag = element_name_for(column)
+        shapes.append((column, f"    <{tag}/>", f"    <{tag}>", f"</{tag}>"))
     for row in result.rows:
-        record = root.subelement(RESULT_TAG)
-        for column in result.columns:
+        lines.append(f"  <{RESULT_TAG}>")
+        for column, empty, opening, closing in shapes:
             constructed = row.elements.get(column)
             if constructed is not None:
                 # a constructor item: splice the assembled element
-                record.append(constructed)
+                write_pretty(constructed, lines, 2, "  ")
                 continue
-            tag = element_name_for(column)
-            values = row.values.get(column, [])
+            values = row.values.get(column)
             if not values:
-                record.subelement(tag)   # explicit empty element
+                lines.append(empty)
+                continue
             for value in values:
-                record.subelement(tag, text=value if value else None)
-    return Document(root, name="xomatiq_results")
+                lines.append(opening + escape_text(value) + closing
+                             if value else empty)
+        lines.append(f"  </{RESULT_TAG}>")
+    lines.append(f"</{RESULTS_TAG}>")
+    return "\n".join(lines) + "\n"

@@ -496,7 +496,9 @@ class BulkLoadSession:
             # auto: only initial loads into an empty warehouse, where
             # no concurrent reader can miss the indexes mid-session
             defer = self._warehouse_was_empty
-        if defer:
+        # a bare-table warehouse (SchemaOptions(with_indexes=False)) has
+        # no indexes to defer and must not come out of the load with any
+        if defer and self.loader.options.with_indexes:
             self._drop_indexes()
         return self
 

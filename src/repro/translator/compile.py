@@ -10,11 +10,16 @@ Shanmugasundaram et al., Zhang et al.):
   subtree_end``). Conjunctive atoms become joins; OR becomes a union
   of binding queries (performed by the engine); NOT becomes a set
   difference against an auxiliary binding query.
-* Every RETURN item compiles to its own *item query* that yields
-  ``(anchor doc_id, anchor node_id, value order, value)`` rows for all
-  candidate anchors; the engine merges them onto the binding rows.
-  This avoids both LEFT JOINs (items may be absent) and cross products
-  between multi-valued items (XQuery nests them; SQL would multiply).
+* Every RETURN path compiles to **one** *value statement*: the
+  variable's binding chain, the path to the *holder* elements, and the
+  holder's ``[doc_order, subtree_end]`` interval ``LEFT JOIN``-ed to
+  ``text_values`` and ``sequences`` — a holder without text arrives as
+  one NULL-piece row, so no separate "which holders exist" query runs.
+  It is restricted to the documents that actually carry bindings by a
+  fixed-width ``IN (?, ...)`` block of :data:`DOC_CHUNK` bound doc ids,
+  so its text never changes and both engines keep it prepared. One
+  statement per path (not one per query) keeps multi-valued items from
+  multiplying each other (XQuery nests them; SQL would cross them).
 
 Everything that touches data is SQL — Python only unions, subtracts
 and merges id tuples, which is the division of labour the paper
@@ -51,6 +56,11 @@ MAX_DISJUNCTS = 64
 #: columns selected per variable in a binding query
 VAR_COLUMNS = 4
 
+#: doc ids bound per value statement — the width of its ``IN (?, ...)``
+#: block (well under engine parameter limits; the executor pads the
+#: last chunk so the statement text is constant)
+DOC_CHUNK = 200
+
 
 def motif_to_like(motif: str) -> str:
     """A sequence motif as a LIKE pattern: ``.`` matches any residue,
@@ -85,58 +95,37 @@ class CompiledDisjunct:
 
 @dataclass
 class CompiledValue:
-    """SQL fetching one VarPath's values.
+    """The one SQL statement fetching a VarPath's values.
 
-    For element paths the value of a matched element is its *subtree*
-    text (XQuery string value — ``""`` for an empty element), so two
-    queries run: ``holders_sql`` finds the matched elements per anchor,
-    and ``sql`` collects the text (and sequence residues) inside each
-    holder's interval; the executor concatenates per holder. Attribute
-    paths need only ``sql`` (missing attributes yield no value).
+    Element paths (``attribute`` false) select ``anchor doc_id, anchor
+    node_id, holder doc_order, text node_id, text, sequence node_id,
+    residues`` and then the *route*: the node ids of the chain's
+    :attr:`~repro.translator.sqlgen.ChainBuilder.fanout` elements. A
+    holder's value is its subtree text (XQuery string value — ``""``
+    for an empty element): the executor concatenates the pieces of one
+    route per holder. Attribute paths select ``anchor doc_id, anchor
+    node_id, holder doc_order, value`` (a missing attribute yields no
+    row). ``params`` are followed by :data:`DOC_CHUNK` doc ids.
     """
 
     varpath: VarPath
     sql: str
     params: tuple
-    holders_sql: str | None = None
-    holders_params: tuple = ()
-    sequence_sql: str | None = None
-    sequence_params: tuple = ()
-    #: column expression of the anchor's doc_id in every query above;
-    #: the executor appends `AND <col> IN (...)` to restrict value
-    #: fetches to the documents that actually have bindings
-    anchor_doc_column: str = ""
+    attribute: bool = False
+
+    def bind(self, doc_ids: tuple = ()) -> tuple:
+        """All parameters for at most :data:`DOC_CHUNK` doc ids, padded
+        with NULLs (which match no document)."""
+        return self.params + doc_ids + (None,) * (DOC_CHUNK - len(doc_ids))
 
 
 @dataclass
 class CompiledItem:
-    """One RETURN item: a single value query for a plain item, several
-    for a constructor (one per embedded expression)."""
+    """One RETURN item: a single value statement for a plain item,
+    several for a constructor (one per embedded expression)."""
 
     item: ReturnItem
     values: list[CompiledValue]
-
-    # -- single-value conveniences (plain items) -------------------------
-
-    @property
-    def sql(self) -> str:
-        """The (first) value query — plain items have exactly one."""
-        return self.values[0].sql
-
-    @property
-    def params(self) -> tuple:
-        """Parameters of :attr:`sql`."""
-        return self.values[0].params
-
-    @property
-    def sequence_sql(self) -> str | None:
-        """The sequences-table twin of :attr:`sql`, when applicable."""
-        return self.values[0].sequence_sql
-
-    @property
-    def sequence_params(self) -> tuple:
-        """Parameters of :attr:`sequence_sql`."""
-        return self.values[0].sequence_params
 
 
 @dataclass
@@ -159,11 +148,8 @@ class CompiledQuery:
         for disjunct in self.disjuncts:
             out.append((disjunct.positive.sql, disjunct.positive.params))
             out.extend((n.sql, n.params) for n in disjunct.negations)
-        for item in self.items:
-            for value in item.values:
-                out.append((value.sql, value.params))
-                if value.sequence_sql:
-                    out.append((value.sequence_sql, value.sequence_params))
+        out.extend((value.sql, value.bind())
+                   for item in self.items for value in item.values)
         return out
 
 
@@ -430,61 +416,36 @@ class _Compiler:
                             values=[self._compile_value(item.value)])
 
     def _compile_value(self, value: VarPath) -> CompiledValue:
-        if value.path is not None and value.path.is_attribute_path:
-            sql, params, doc_column = self._attribute_item_sql(value)
-            return CompiledValue(varpath=value, sql=sql, params=params,
-                                 anchor_doc_column=doc_column)
-        holders_sql, holders_params, doc_column = self._holders_sql(value)
-        sql, params, text_doc_column = self._subtree_text_sql(
-            value, table="text_values", column="value")
-        sequence_sql, sequence_params, seq_doc_column = \
-            self._subtree_text_sql(value, table="sequences",
-                                   column="residues")
-        # the anchor chain is built identically in all three queries,
-        # so its alias (and doc_id column) must coincide
-        assert doc_column == text_doc_column == seq_doc_column
-        return CompiledValue(varpath=value, sql=sql, params=params,
-                             holders_sql=holders_sql,
-                             holders_params=holders_params,
-                             sequence_sql=sequence_sql,
-                             sequence_params=sequence_params,
-                             anchor_doc_column=doc_column)
-
-    def _attribute_item_sql(self, value: VarPath) -> tuple[str, tuple, str]:
         builder = SqlBuilder()
         chains = ChainBuilder(builder)
         anchor = self._anchor_chain(value.var, chains)
-        value_ref = chains.value_of(anchor, value.path)
-        builder.select = [anchor.doc_id, anchor.node_id,
-                          value_ref.holder.doc_order, value_ref.text]
-        return builder.sql(), tuple(builder.params), anchor.doc_id
-
-    def _holders_sql(self, value: VarPath) -> tuple[str, tuple, str]:
-        """Matched holder elements per anchor (one value per holder,
-        even when the holder has no text)."""
-        builder = SqlBuilder(distinct=True)
-        chains = ChainBuilder(builder)
-        anchor = self._anchor_chain(value.var, chains)
-        holder = chains.walk(anchor, value.path)
-        builder.select = [anchor.doc_id, anchor.node_id, holder.doc_order]
-        return builder.sql(), tuple(builder.params), anchor.doc_id
-
-    def _subtree_text_sql(self, value: VarPath, table: str,
-                          column: str) -> tuple[str, tuple, str]:
-        """Text (or residue) pieces inside each holder's interval —
-        the holder's XQuery string value is their concatenation in
-        document order."""
-        builder = SqlBuilder()
-        chains = ChainBuilder(builder)
-        anchor = self._anchor_chain(value.var, chains)
-        holder = chains.walk(anchor, value.path)
-        piece = builder.add_table(table, table[0])
-        builder.where(f"{piece}.doc_id = {holder.doc_id}")
-        builder.where(f"{piece}.node_id >= {holder.doc_order}")
-        builder.where(f"{piece}.node_id <= {holder.subtree_end}")
-        builder.select = [anchor.doc_id, anchor.node_id, holder.doc_order,
-                          f"{piece}.node_id", f"{piece}.{column}"]
-        return builder.sql(), tuple(builder.params), anchor.doc_id
+        attribute = value.path is not None and value.path.is_attribute_path
+        if attribute:
+            value_ref = chains.value_of(anchor, value.path)
+            builder.select = [anchor.doc_id, anchor.node_id,
+                              value_ref.holder.doc_order, value_ref.text]
+        else:
+            holder = chains.walk(anchor, value.path)
+            builder.select = [anchor.doc_id, anchor.node_id,
+                              holder.doc_order]
+            for table, column in (("text_values", "value"),
+                                  ("sequences", "residues")):
+                piece = builder.alias(table[0])
+                builder.left_join(table, piece, [
+                    f"{piece}.doc_id = {holder.doc_id}",
+                    f"{piece}.node_id >= {holder.doc_order}",
+                    f"{piece}.node_id <= {holder.subtree_end}"])
+                builder.select += [f"{piece}.node_id", f"{piece}.{column}"]
+            builder.select += [
+                ref.node_id for ref in chains.fanout
+                if ref.alias not in (anchor.alias, holder.alias)]
+        document = next(alias for table, alias in builder.tables
+                        if table == "documents")
+        builder.conjuncts.append(
+            f"{document}.doc_id IN ({', '.join('?' * DOC_CHUNK)})")
+        return CompiledValue(varpath=value, sql=builder.sql(),
+                             params=tuple(builder.params),
+                             attribute=attribute)
 
     def _anchor_chain(self, var: str, chains: ChainBuilder) -> ElementRef:
         """Rebuild the binding chain of ``var`` (and its context

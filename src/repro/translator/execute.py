@@ -2,13 +2,17 @@
 
 Python's role here is deliberately thin (the paper pushes evaluation
 into the RDBMS): run each disjunct's binding SQL, union the binding
-tuples, subtract negation tuples, run each value SQL once, and merge
-values onto bindings by ``(doc_id, node_id)`` anchor keys. Constructor
-items additionally assemble one fresh XML element per result row from
-their fetched values.
+tuples, subtract negation tuples, run each RETURN path's one value
+statement per :data:`~repro.translator.compile.DOC_CHUNK` bound
+documents, fold its rows into one string per holder, and merge those
+onto bindings by ``(doc_id, node_id)`` anchor keys in a single pass.
+Constructor items additionally assemble one fresh XML element per
+result row from their fetched values.
 """
 
 from __future__ import annotations
+
+from operator import itemgetter
 
 from repro.relational.backend import Backend
 from repro.results.resultset import (
@@ -17,7 +21,12 @@ from repro.results.resultset import (
     ResultRow,
     unique_columns,
 )
-from repro.translator.compile import VAR_COLUMNS, CompiledQuery, CompiledValue
+from repro.translator.compile import (
+    DOC_CHUNK,
+    VAR_COLUMNS,
+    CompiledQuery,
+    CompiledValue,
+)
 from repro.xmlkit.doc import Element
 from repro.xmlkit.serializer import serialize_compact
 from repro.xquery.ast import Constructor, VarPath
@@ -75,41 +84,36 @@ def _merge_result(compiled: CompiledQuery, bindings: list[tuple],
     variables = compiled.variables
     columns = _output_columns(compiled)
     result = QueryResult(columns=columns, variables=list(variables))
+    offsets = {var: i * VAR_COLUMNS for i, var in enumerate(variables)}
+    items = [
+        (column, item.item.constructor,
+         [(offsets[value.varpath.var], value_map)
+          for value, value_map in zip(item.values, maps)])
+        for column, item, maps in zip(columns, compiled.items, value_maps)]
     for binding in bindings:
         row = ResultRow(bindings={
-            var: BoundNode(doc_id=binding[i * VAR_COLUMNS],
-                           node_id=binding[i * VAR_COLUMNS + 1])
-            for i, var in enumerate(variables)})
-
-        def values_for(varpath: VarPath, maps) -> list[str]:
-            var_index = variables.index(varpath.var)
-            anchor = (binding[var_index * VAR_COLUMNS],
-                      binding[var_index * VAR_COLUMNS + 1])
-            return [value for __, value in sorted(maps.get(anchor, []))]
-
-        for column, item, maps in zip(columns, compiled.items, value_maps):
-            if item.item.constructor is not None:
-                element = _build_element(item.item.constructor, maps,
-                                         values_for)
+            var: BoundNode(binding[offset], binding[offset + 1])
+            for var, offset in offsets.items()})
+        for column, constructor, slots in items:
+            values = [list(value_map.get(binding[offset:offset + 2], ()))
+                      for offset, value_map in slots]
+            if constructor is not None:
+                element = _build_element(constructor, values)
                 row.elements[column] = element
                 row.values[column] = [serialize_compact(element)]
             else:
-                row.values[column] = values_for(item.item.value, maps[0])
+                row.values[column] = values[0]
         result.rows.append(row)
     return result
 
 
-def _build_element(constructor: Constructor, maps: list,
-                   values_for) -> Element:
+def _build_element(constructor: Constructor,
+                   slot_values: list[list[str]]) -> Element:
     """Assemble one constructed element for one result row.
 
-    ``maps`` parallels ``constructor.varpaths()`` order (the order the
-    compiler emitted the value queries in).
+    ``slot_values`` parallels ``constructor.varpaths()`` order (the
+    order the compiler emitted the value statements in).
     """
-    slot_values = {
-        index: values_for(varpath, value_map)
-        for index, (varpath, value_map) in enumerate(
-            zip(constructor.varpaths(), maps))}
     counter = [0]
 
     def build(node: Constructor) -> Element:
@@ -159,88 +163,57 @@ def _collect_bindings(compiled: CompiledQuery,
     return sorted(accepted)
 
 
-#: restrict value queries to bound documents via IN lists of at most
-#: this many ids per statement (keeps statements cacheable-ish and well
-#: under engine parameter limits)
-_DOC_CHUNK = 200
-
-
-def _restricted(backend: Backend, sql: str, params: tuple,
-                doc_column: str, doc_ids: list[int]) -> list:
-    """Run a value query restricted to the bound documents.
-
-    Without this, value queries scan every document of the source —
-    measured 75x slower than the binding query itself on selective
-    queries over large corpora.
-    """
-    if not doc_ids:
-        return []
-    rows: list = []
-    for start in range(0, len(doc_ids), _DOC_CHUNK):
-        chunk = doc_ids[start:start + _DOC_CHUNK]
-        id_list = ", ".join(str(int(doc_id)) for doc_id in chunk)
-        chunk_sql = f"{sql}\n  AND {doc_column} IN ({id_list})"
-        rows.extend(backend.execute(chunk_sql, params))
-    return rows
-
-
 def _collect_values(value: CompiledValue, backend: Backend,
-                    doc_ids: list[int]
-                    ) -> dict[tuple, list[tuple[tuple, str]]]:
-    """Run one value's queries; returns
-    ``(doc_id, anchor_node) -> [(order_key, value), ...]``.
+                    doc_ids: list[int]) -> dict[tuple, list[str]]:
+    """Run one value statement over the documents that carry bindings
+    (without that restriction it scans every document of the source —
+    measured 75x slower than the binding query on selective queries);
+    returns ``(doc_id, anchor_node) -> values in document order``.
 
     Element paths: one value per matched holder — the concatenation of
     all text/residue pieces in the holder's subtree, document order
     (the XQuery string value; ``""`` for empty elements). Attribute
-    paths: one value per present attribute. All queries are restricted
-    to the ``doc_ids`` that actually carry bindings.
+    paths: one value per present attribute.
     """
-    if value.holders_sql is None:
-        # attribute item: rows are (doc, anchor, order, attr value)
-        values: dict[tuple, list[tuple[tuple, str]]] = {}
-        occurrences: dict[tuple, int] = {}
-        for doc_id, anchor_node, order, text in _restricted(
-                backend, value.sql, value.params,
-                value.anchor_doc_column, doc_ids):
-            key = (doc_id, anchor_node)
-            occ_key = (doc_id, anchor_node, order)
-            occurrence = occurrences.get(occ_key, 0)
-            occurrences[occ_key] = occurrence + 1
-            values.setdefault(key, []).append(
-                ((order, occurrence), "" if text is None else str(text)))
-        return values
+    rows: list[tuple] = []
+    for start in range(0, len(doc_ids), DOC_CHUNK):
+        rows += backend.execute(
+            value.sql, value.bind(tuple(doc_ids[start:start + DOC_CHUNK])))
 
-    # element item: holders first, then subtree text pieces
-    holders: dict[tuple, list[int]] = {}
-    for doc_id, anchor_node, order in _restricted(
-            backend, value.holders_sql, value.holders_params,
-            value.anchor_doc_column, doc_ids):
-        holders.setdefault((doc_id, anchor_node), []).append(order)
-
-    pieces: dict[tuple, list[tuple[tuple, str]]] = {}
-    occurrences = {}
-
-    def ingest(rows) -> None:
-        for doc_id, anchor_node, order, piece_node, text in rows:
+    # (doc, anchor, holder) -> value. A holder reached by several
+    # routes repeats its rows once per route: attributes are unique per
+    # element, so the key alone folds them; element pieces are not
+    # (mixed content owns several text rows), so one route is kept.
+    holders: dict[tuple, str] = {}
+    if value.attribute:
+        for doc_id, anchor_node, order, text in rows:
+            holders[doc_id, anchor_node, order] = text
+    else:
+        kept: dict[tuple, tuple] = {}
+        for row in rows:
+            doc_id, anchor_node, order, text_node, text, seq_node, residues \
+                = row[:7]
             key = (doc_id, anchor_node, order)
-            occ_key = (doc_id, anchor_node, order, piece_node)
-            occurrence = occurrences.get(occ_key, 0)
-            occurrences[occ_key] = occurrence + 1
-            pieces.setdefault(key, []).append(
-                ((piece_node, occurrence), "" if text is None else str(text)))
+            if key not in kept:
+                kept[key] = (row[7:], seq_node, [], {})
+            route, first_seq, texts, sequences = kept[key]
+            if route != row[7:]:
+                continue
+            # the two LEFT JOINs cross texts with sequences: take each
+            # text beside the first sequence only; a sequence is one row
+            # per node, so its node id folds the repeats
+            if text_node is not None and seq_node == first_seq:
+                texts.append((text_node, text))
+            if seq_node is not None:
+                sequences[seq_node] = residues
+        for key, (__, __, texts, sequences) in kept.items():
+            parts = texts + list(sequences.items())
+            if len(parts) > 1:
+                parts.sort(key=itemgetter(0))   # stable within a node
+            holders[key] = "".join(text for __, text in parts)
 
-    ingest(_restricted(backend, value.sql, value.params,
-                       value.anchor_doc_column, doc_ids))
-    if value.sequence_sql:
-        ingest(_restricted(backend, value.sequence_sql,
-                           value.sequence_params,
-                           value.anchor_doc_column, doc_ids))
-
-    values = {}
-    for key, orders in holders.items():
-        for order in orders:
-            parts = sorted(pieces.get(key + (order,), []))
-            values.setdefault(key, []).append(
-                ((order, 0), "".join(text for __, text in parts)))
+    values: dict[tuple, list[str]] = {}
+    for doc_id, anchor_node, order in sorted(holders):
+        values.setdefault((doc_id, anchor_node), []).append(
+            holders[doc_id, anchor_node, order])
     return values

@@ -15,7 +15,10 @@ dialect both backends accept. The path-to-join encoding lives in
   ``[child = "v"]`` joins a child element and its text.
 
 Values are reached through ``text_values`` (elements) or ``attributes``
-(attribute steps); ``contains`` goes through ``keywords``.
+(attribute steps); ``contains`` goes through ``keywords``. A RETURN
+item's value tables are *outer*-joined (``LEFT JOIN ... ON``, rendered
+after the comma-joined chain) so an element without text still yields
+its row.
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ class SqlBuilder:
 
     select: list[str] = field(default_factory=list)
     tables: list[tuple[str, str]] = field(default_factory=list)  # (table, alias)
+    #: (table, alias, ON conjuncts), rendered after ``tables``
+    left_joins: list[tuple[str, str, list[str]]] = field(default_factory=list)
     conjuncts: list[str] = field(default_factory=list)
     params: list = field(default_factory=list)
     distinct: bool = False
@@ -48,6 +53,11 @@ class SqlBuilder:
         alias = self.alias(prefix)
         self.tables.append((table, alias))
         return alias
+
+    def left_join(self, table: str, alias: str, on: list[str]) -> None:
+        """Add ``LEFT JOIN table alias ON on[0] AND ...`` (``alias``
+        from :meth:`alias`; ON conjuncts take no parameters)."""
+        self.left_joins.append((table, alias, on))
 
     def where(self, conjunct: str, *params) -> None:
         """Add one WHERE conjunct with its parameters."""
@@ -77,6 +87,8 @@ class SqlBuilder:
                  f"FROM {first_table} {first_alias}"]
         for table, alias in self.tables[1:]:
             lines.append(f", {table} {alias}")
+        for table, alias, on in self.left_joins:
+            lines.append(f"LEFT JOIN {table} {alias} ON " + " AND ".join(on))
         if self.conjuncts:
             lines.append("WHERE " + "\n  AND ".join(self.conjuncts))
         return "\n".join(lines)
@@ -137,6 +149,11 @@ class ChainBuilder:
 
     def __init__(self, builder: SqlBuilder):
         self.builder = builder
+        #: elements through which a later element of the chain can be
+        #: reached more than once — the context of every descendant step
+        #: (nested ``a`` make two routes to a ``b`` under ``//a//b``) and
+        #: every predicate child (two children may satisfy ``[c = "v"]``)
+        self.fanout: list[ElementRef] = []
 
     # -- roots -------------------------------------------------------------
 
@@ -199,6 +216,7 @@ class ChainBuilder:
         target = ElementRef(b.add_table("elements", "e"))
         b.where(f"{target.doc_id} = {context.doc_id}")
         if step.descendant:
+            self.fanout.append(context)
             b.where(f"{target.doc_order} >= {context.doc_order}")
             b.where(f"{target.doc_order} <= {context.subtree_end}")
         else:
@@ -278,6 +296,7 @@ class ChainBuilder:
             b.where(f"{attr}.value = ?", predicate.value)
             return
         child = ElementRef(b.add_table("elements", "e"))
+        self.fanout.append(child)
         b.where(f"{child.doc_id} = {target.doc_id}")
         b.where(f"{child.alias}.parent_id = {target.node_id}")
         b.where(f"{child.alias}.tag = ?", predicate.name)

@@ -44,7 +44,7 @@ def serialize(doc: Document | Element, declaration: bool = True,
     lines: list[str] = []
     if declaration:
         lines.append('<?xml version="1.0" encoding="UTF-8"?>')
-    _write_pretty(element, lines, 0, indent)
+    write_pretty(element, lines, 0, indent)
     return "\n".join(lines) + "\n"
 
 
@@ -85,8 +85,10 @@ def _write_compact(element: Element, parts: list[str]) -> None:
     parts.append(f"</{element.tag}>")
 
 
-def _write_pretty(element: Element, lines: list[str], depth: int,
-                  indent: str) -> None:
+def write_pretty(element: Element, lines: list[str], depth: int,
+                 indent: str) -> None:
+    """Append the pretty-printed lines of ``element``, ``depth``
+    indents deep, to ``lines``."""
     pad = indent * depth
     if not element.children:
         lines.append(pad + _empty_tag(element))
@@ -109,5 +111,5 @@ def _write_pretty(element: Element, lines: list[str], depth: int,
     lines.append(pad + _start_tag(element))
     for child in element.children:
         if isinstance(child, Element):
-            _write_pretty(child, lines, depth + 1, indent)
+            write_pretty(child, lines, depth + 1, indent)
     lines.append(f"{pad}</{element.tag}>")

@@ -11,12 +11,22 @@ import pytest
 
 from repro.baselines import NativeXmlStore
 from repro.engine import Warehouse
+from repro.obs.metrics import default_registry
 from repro.relational import MiniDbBackend, SqliteBackend
 from repro.synth import build_corpus
 
 CORPUS_SEED = 7
 CORPUS_SIZES = dict(enzyme_count=25, embl_count=35, sprot_count=25,
                     omim_count=15)
+
+
+@pytest.fixture(autouse=True)
+def fresh_default_registry():
+    """The process-wide registry is what ``health`` reads transport and
+    quarantine counters from; whatever an earlier test left there (a
+    chaos harvest's quarantined entries, say) must not turn a later
+    test's report to ``warn``."""
+    default_registry().reset()
 
 
 @pytest.fixture(scope="session")

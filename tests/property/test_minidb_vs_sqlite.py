@@ -93,6 +93,57 @@ def test_self_join_agrees(rows):
         minidb.close()
 
 
+#: ON clauses for ``t a LEFT JOIN t b``: equi (NULL-able ``num``),
+#: range-only, equi plus a filter on either side
+LEFT_ONS = ["b.num = a.num AND b.id != a.id",
+            "b.grp >= a.grp AND b.grp <= a.num",
+            "b.grp = a.grp AND b.label = 'alpha'",
+            "b.grp = a.grp AND a.num > 0",
+            "b.label = a.label"]
+
+
+@given(rows=rows_strategy, on=st.sampled_from(LEFT_ONS),
+       second=st.one_of(st.none(), st.sampled_from(LEFT_ONS)),
+       where=st.one_of(st.none(), st.sampled_from(
+           ["b.id IS NULL", "a.num IS NOT NULL", "b.grp > 10"])))
+@settings(max_examples=120, deadline=None)
+def test_left_joins_agree(rows, on, second, where):
+    """Unmatched outer rows, NULL in ON, a second LEFT JOIN off the
+    same outer table (rows multiply), WHERE over the padded side."""
+    sqlite, minidb = SqliteBackend(), MiniDbBackend()
+    try:
+        fill(sqlite, rows)
+        fill(minidb, rows)
+        sql = f"SELECT a.id, b.id FROM t a LEFT JOIN t b ON {on}"
+        if second:
+            sql = sql.replace("SELECT a.id, b.id", "SELECT a.id, b.id, c.id")
+            sql += " LEFT JOIN t c ON " + second.replace("b.", "c.")
+        if where:
+            sql += f" WHERE {where}"
+        assert sorted(minidb.execute(sql), key=repr) \
+            == sorted(sqlite.execute(sql), key=repr)
+    finally:
+        sqlite.close()
+        minidb.close()
+
+
+@given(rows=rows_strategy)
+@settings(max_examples=40, deadline=None)
+def test_left_join_after_comma_join_agrees(rows):
+    sqlite, minidb = SqliteBackend(), MiniDbBackend()
+    try:
+        fill(sqlite, rows)
+        fill(minidb, rows)
+        sql = ("SELECT a.id, b.id, c.id FROM t a, t b "
+               "LEFT JOIN t c ON c.grp = b.grp AND c.id > b.id "
+               "WHERE a.num = b.num AND a.id < b.id")
+        assert sorted(minidb.execute(sql), key=repr) \
+            == sorted(sqlite.execute(sql), key=repr)
+    finally:
+        sqlite.close()
+        minidb.close()
+
+
 @given(rows=rows_strategy)
 @settings(max_examples=60, deadline=None)
 def test_aggregates_agree(rows):

@@ -126,6 +126,88 @@ class TestJoins:
                    "WHERE a.age < b.age")
 
 
+class TestLeftJoins:
+    def test_unmatched_outer_rows_are_null_padded(self, pair):
+        rows = both(pair, "SELECT p.name, q.species FROM people p "
+                          "LEFT JOIN pets q ON q.owner_id = p.id")
+        assert ("bob", None) in rows and ("ann", "cat") in rows
+        assert len(rows) == 6
+
+    def test_outer_keyword_is_optional(self, pair):
+        both(pair, "SELECT p.name, q.species FROM people p "
+                   "LEFT OUTER JOIN pets q ON q.owner_id = p.id")
+
+    def test_null_in_on_matches_nothing(self, pair):
+        # dee's city and eli's age are NULL: NULL = NULL is not a match
+        rows = both(pair, "SELECT a.name, b.name FROM people a "
+                          "LEFT JOIN people b "
+                          "ON b.city = a.city AND b.id != a.id")
+        assert ("dee", None) in rows
+        rows = both(pair, "SELECT a.name, b.name FROM people a "
+                          "LEFT JOIN people b ON b.age < a.age")
+        assert ("eli", None) in rows
+
+    def test_on_filter_on_the_outer_side_keeps_the_row(self, pair):
+        rows = both(pair, "SELECT p.name, q.species FROM people p "
+                          "LEFT JOIN pets q "
+                          "ON q.owner_id = p.id AND p.city = 'olso'")
+        assert ("eli", None) in rows and ("cai", "cat") in rows
+
+    def test_on_filter_on_the_inner_side(self, pair):
+        rows = both(pair, "SELECT p.name, q.species FROM people p "
+                          "LEFT JOIN pets q "
+                          "ON q.owner_id = p.id AND q.species = ?",
+                    ("dog",))
+        assert rows.count(("ann", "dog")) == 1 and ("cai", None) in rows
+
+    def test_where_over_the_inner_side_applies_after_padding(self, pair):
+        rows = both(pair, "SELECT p.name FROM people p "
+                          "LEFT JOIN pets q ON q.owner_id = p.id "
+                          "WHERE q.id IS NULL")
+        assert rows == [("bob",), ("dee",)]
+
+    def test_left_join_after_comma_joins(self, pair):
+        both(pair, "SELECT a.name, b.name, q.species "
+                   "FROM people a, people b "
+                   "LEFT JOIN pets q ON q.owner_id = b.id "
+                   "WHERE a.city = b.city AND a.id < b.id")
+
+    def test_left_join_after_inner_join(self, pair):
+        both(pair, "SELECT a.name, b.name, q.species FROM people a "
+                   "JOIN people b ON a.age = b.age AND a.id != b.id "
+                   "LEFT JOIN pets q ON q.owner_id = b.id")
+
+    def test_two_left_joins_off_one_table_multiply(self, pair):
+        # the value-statement shape: max(1, m) x max(1, n) rows per
+        # outer row — ann has two pets, so ann x 2 pets x 2 pets
+        rows = both(pair, "SELECT p.name, q.species, r.id FROM people p "
+                          "LEFT JOIN pets q ON q.owner_id = p.id "
+                          "LEFT JOIN pets r ON r.owner_id = p.id "
+                          "AND r.id >= q.id")
+        assert len([row for row in rows if row[0] == "ann"]) == 3
+        assert ("dee", None, None) in rows
+
+    def test_range_only_on_is_a_nested_loop(self, pair):
+        both(pair, "SELECT p.name, q.id FROM people p "
+                   "LEFT JOIN pets q ON q.id >= p.id AND q.id <= p.age")
+
+    def test_inner_join_may_not_follow_a_left_join(self):
+        backend = MiniDbBackend()
+        for tail in (", pets r", "JOIN pets r ON r.id = q.id"):
+            with pytest.raises(SchemaError, match="LEFT JOIN"):
+                backend.execute(
+                    "SELECT p.id FROM people p "
+                    "LEFT JOIN pets q ON q.owner_id = p.id " + tail)
+
+    def test_explain_notes_the_left_join(self):
+        backend = MiniDbBackend()
+        backend.execute("CREATE TABLE a (x INTEGER)")
+        backend.execute("CREATE TABLE b (y INTEGER)")
+        plan = backend.explain(
+            "SELECT a.x, b.y FROM a LEFT JOIN b ON b.y = a.x")
+        assert any("left hash join b" in step for step in plan)
+
+
 class TestAggregatesAndShaping:
     def test_count_star(self, pair):
         assert both(pair, "SELECT COUNT(*) FROM people") == [(5,)]

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.engine import Warehouse
+from repro.relational import CREATE_INDEXES, SchemaOptions
 from repro.shredding import WarehouseLoader
 from repro.xmlkit import parse_document
 
@@ -142,6 +144,33 @@ class TestBulkLoadSession:
         serial = load(0)
         parallel = load(3)
         assert serial == parallel
+
+
+def secondary_indexes(backend) -> set[str]:
+    """Names of the ``idx_*`` indexes present, on either engine."""
+    if backend.name == "sqlite":
+        names = [row[0] for row in backend.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'index'")]
+    else:
+        names = [name for table in backend.catalog.tables.values()
+                 for name in table.indexes]
+    return {name for name in names if name.startswith("idx_")}
+
+
+class TestDeferredIndexes:
+    def test_initial_load_comes_out_fully_indexed(self, backend, corpus):
+        Warehouse(backend=backend).load_corpus(corpus)
+        assert len(secondary_indexes(backend)) == len(CREATE_INDEXES)
+
+    def test_bare_table_warehouse_stays_bare(self, backend, corpus):
+        """E6's no-index leg: the session used to "rebuild" the full
+        index set over a warehouse created without one."""
+        warehouse = Warehouse(backend=backend,
+                              options=SchemaOptions(with_indexes=False))
+        assert secondary_indexes(backend) == set()
+        warehouse.load_corpus(corpus)
+        assert warehouse.loader.document_count() > 0
+        assert secondary_indexes(backend) == set()
 
 
 class TestLoaderGeneration:

@@ -1,6 +1,7 @@
 """Unit tests for the XQ2SQL compiler (SQL shape, not execution)."""
 
 from repro.translator import compile_query
+from repro.translator.compile import DOC_CHUNK
 from repro.xquery import parse_query
 
 FIG9 = '''FOR $a IN document("hlx_enzyme.DEFAULT")/hlx_enzyme
@@ -93,34 +94,61 @@ class TestBindingSql:
 class TestItemSql:
     def test_one_item_query_per_return_item(self):
         assert len(compiled(FIG9).items) == 2
+        assert all(len(item.values) == 1 for item in compiled(FIG9).items)
 
     def test_item_sql_selects_piece_columns(self):
-        sql = compiled(FIG9).items[0].sql
+        sql = compiled(FIG9).items[0].values[0].sql
         head = sql.splitlines()[0]
-        # doc, node, holder order, piece node, piece value
-        assert head.count(",") == 4
+        # doc, anchor, holder order, text node + value, sequence node +
+        # residues; $a//enzyme_id has one route, so no route columns
+        assert head.count(",") == 6
 
-    def test_item_holders_sql_is_distinct(self):
-        value = compiled(FIG9).items[0].values[0]
-        assert value.holders_sql.startswith("SELECT DISTINCT")
+    def test_item_sql_left_joins_holder_values(self):
+        # the holder survives without text: both value tables are
+        # outer-joined on its interval, in one statement
+        sql = compiled(FIG9).items[0].values[0].sql
+        assert not sql.startswith("SELECT DISTINCT")
+        assert sql.count("LEFT JOIN") == 2
+        assert "LEFT JOIN text_values t0 ON t0.doc_id = e1.doc_id" in sql
+        assert "t0.node_id <= e1.subtree_end" in sql
 
     def test_attribute_item_reads_attributes_table(self):
         text = ('FOR $a IN document("hlx_enzyme.DEFAULT")/hlx_enzyme '
                 'RETURN $a//reference/@swissprot_accession_number')
-        item = compiled(text).items[0]
-        assert "attributes" in item.sql
-        assert item.values[0].holders_sql is None
+        value = compiled(text).items[0].values[0]
+        assert value.attribute
+        assert "attributes" in value.sql
+        assert "LEFT JOIN" not in value.sql
 
-    def test_element_item_gets_sequences_twin(self):
+    def test_element_item_left_joins_sequences(self):
         text = ('FOR $a IN document("hlx_embl.inv")/hlx_n_sequence '
                 'RETURN $a//sequence')
-        item = compiled(text).items[0]
-        assert item.sequence_sql is not None
-        assert "sequences" in item.sequence_sql
+        value = compiled(text).items[0].values[0]
+        assert "LEFT JOIN sequences s0 ON s0.doc_id = e1.doc_id" in value.sql
+        assert "s0.residues" in value.sql.splitlines()[0]
+
+    def test_second_route_to_a_holder_selects_route_columns(self):
+        text = 'FOR $r IN document("src.c")/r RETURN $r//a//b'
+        head = compiled(text).items[0].values[0].sql.splitlines()[0]
+        # e1 (an `a`) can be an ancestor of another `a` over the same `b`
+        assert head.endswith(", e1.node_id")
+
+    def test_doc_restriction_is_a_fixed_width_parameter_block(self):
+        value = compiled(FIG9).items[0].values[0]
+        assert value.sql.count("?") == len(value.params) + DOC_CHUNK
+        assert value.sql.endswith(
+            "d0.doc_id IN (" + ", ".join("?" * DOC_CHUNK) + ")")
+        bound = value.bind((4, 9))
+        assert bound[:len(value.params) + 2] == value.params + (4, 9)
+        assert set(bound[len(value.params) + 2:]) == {None}
+        assert len(bound) == len(value.params) + DOC_CHUNK
 
     def test_statements_listing(self):
-        statements = compiled(FIG11).statements()
-        # one binding query + per item: holders? no — statements() lists
-        # value sql + sequence twin; holders are internal
-        assert all(s.lstrip().startswith("SELECT") for s in statements)
-        assert len(statements) >= 2
+        query = compiled(FIG11)
+        statements = query.parameterized_statements()
+        # one binding query, then one statement per RETURN path with a
+        # full (NULL-padded) parameter block — EXPLAIN can bind it
+        assert [sql for sql, __ in statements] == query.statements()
+        assert len(statements) == 2
+        assert all(sql.startswith("SELECT") and sql.count("?") == len(params)
+                   for sql, params in statements)
