@@ -30,10 +30,10 @@ from repro.datahounds import (
     FaultPlan,
     InMemoryRepository,
     ResilientRepository,
-    RetryPolicy,
 )
 from repro.engine import Warehouse
 from repro.relational import SqliteBackend
+from repro.resilience import RetryPolicy
 from repro.synth import build_corpus, mutate_release
 
 FAULT_SEEDS = [11, 23, 47]

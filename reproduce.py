@@ -137,10 +137,10 @@ def chaos_smoke() -> int:
     fault-free document set — counts and entry fingerprints."""
     sys.path.insert(0, str(ROOT / "src"))
     from repro.datahounds import (FaultInjectingRepository, FaultPlan,
-                                  InMemoryRepository, ResilientRepository,
-                                  RetryPolicy)
+                                  InMemoryRepository, ResilientRepository)
     from repro.engine import Warehouse
     from repro.obs import format_health
+    from repro.resilience import RetryPolicy
     from repro.synth import build_corpus, mutate_release
 
     corpus = build_corpus(seed=23, enzyme_count=30, embl_count=30,

@@ -15,11 +15,7 @@ from repro.datahounds.hound import (
 )
 from repro.datahounds.mapping import strip_trailing_period
 from repro.datahounds.registry import SourceRegistry
-from repro.datahounds.resilience import (
-    CircuitBreaker,
-    ResilientRepository,
-    RetryPolicy,
-)
+from repro.datahounds.resilience import ResilientRepository
 from repro.datahounds.transformer import SourceTransformer
 from repro.datahounds.transport import (
     DirectoryRepository,
@@ -37,7 +33,6 @@ from repro.datahounds.updates import (
 
 __all__ = [
     "ChangeEvent",
-    "CircuitBreaker",
     "DataHound",
     "DirectoryRepository",
     "DocumentStore",
@@ -50,7 +45,6 @@ __all__ = [
     "LoadReport",
     "ReleaseSnapshot",
     "ResilientRepository",
-    "RetryPolicy",
     "SourceFailure",
     "SourceRegistry",
     "SourceTransformer",

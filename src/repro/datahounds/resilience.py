@@ -34,21 +34,7 @@ import time
 
 from repro.datahounds.transport import FetchResult, _record_fetch_error
 from repro.errors import CircuitOpenError, PayloadIntegrityError, TransportError
-
-# The retry/breaker primitives started life here, guarding the harvest
-# transport; they now also guard the federated query path, so they live
-# in the shared repro.resilience module. Re-exported for back-compat —
-# the defaults still publish under the historical transport.* names.
-from repro.resilience import (          # noqa: F401  (re-exports)
-    BREAKER_STATE_CODES,
-    BREAKER_STATE_NAMES,
-    CLOSED,
-    HALF_OPEN,
-    OPEN,
-    CircuitBreaker,
-    ManualClock,
-    RetryPolicy,
-)
+from repro.resilience import OPEN, CircuitBreaker, RetryPolicy
 
 
 class ResilientRepository:

@@ -245,8 +245,8 @@ class Warehouse:
         entries instead of aborting the release.
         """
         if retries is not None or retry_policy is not None:
-            from repro.datahounds.resilience import (ResilientRepository,
-                                                     RetryPolicy)
+            from repro.datahounds.resilience import ResilientRepository
+            from repro.resilience import RetryPolicy
             if retry_policy is None:
                 retry_policy = RetryPolicy(max_attempts=max(1, retries))
             repository = ResilientRepository(

@@ -160,7 +160,7 @@ def _resilience(metrics) -> dict:
     if metrics is None:
         return out
     # lazy: obs must stay importable without the datahounds package
-    from repro.datahounds.resilience import BREAKER_STATE_NAMES
+    from repro.resilience import BREAKER_STATE_NAMES
     for labels, value in metrics.gauge_items("transport.breaker_state"):
         source = labels.get("source", "?")
         out["breakers"][source] = BREAKER_STATE_NAMES.get(

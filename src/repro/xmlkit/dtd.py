@@ -8,8 +8,8 @@ the ENZYME DTD). This module implements:
   ``*``, ``+``),
 * a parser for ``<!ELEMENT ...>`` and ``<!ATTLIST ...>`` declarations,
 * a validator that checks a :class:`~repro.xmlkit.doc.Document` against a
-  DTD (content-model matching is done with an NFA built by Thompson-style
-  construction over child tag sequences),
+  DTD (each element-content model is compiled once, when its declaration
+  is added, into a Glushkov position automaton over child tag sequences),
 * a structural summary (:meth:`Dtd.tree`) used by the visual query
   builder's left panel.
 
@@ -133,6 +133,7 @@ class AttrDecl:
     enumeration: tuple[str, ...] = ()  # non-empty when enumerated type
     required: bool = False
     default: str | None = None
+    fixed: bool = False                # #FIXED: the value must be ``default``
 
     def validate_value(self, value: str, element_tag: str) -> None:
         """Check one attribute value against this declaration."""
@@ -140,10 +141,16 @@ class AttrDecl:
             raise DtdValidationError(
                 f"<{element_tag}> attribute {self.name}={value!r} not in "
                 f"enumeration {self.enumeration}")
-        if self.attr_type == "NMTOKEN" and not _is_nmtoken(value):
+        if self.attr_type in ("NMTOKEN", "NMTOKENS"):
+            tokens = value.split() if self.attr_type == "NMTOKENS" else [value]
+            if not (tokens and all(map(_is_nmtoken, tokens))):
+                raise DtdValidationError(
+                    f"<{element_tag}> attribute {self.name}={value!r} "
+                    f"is not a valid {self.attr_type}")
+        if self.fixed and value != self.default:
             raise DtdValidationError(
-                f"<{element_tag}> attribute {self.name}={value!r} "
-                f"is not a valid NMTOKEN")
+                f"<{element_tag}> attribute {self.name}={value!r} differs "
+                f"from its #FIXED value {self.default!r}")
 
 
 @dataclass
@@ -153,6 +160,9 @@ class ElementDecl:
     tag: str
     content: Particle
     attributes: dict[str, AttrDecl] = field(default_factory=dict)
+    # compiled by Dtd.add; None unless the content is element content
+    automaton: _ContentAutomaton | None = field(
+        default=None, compare=False, repr=False)
 
     def allows_text(self) -> bool:
         """True when text content is legal for this element."""
@@ -179,9 +189,11 @@ class Dtd:
         self._root = root
 
     def add(self, decl: ElementDecl) -> None:
-        """Add a declaration; the first one becomes the root."""
+        """Add (and compile) a declaration; the first becomes the root."""
         if decl.tag in self.elements:
             raise DtdError(f"duplicate <!ELEMENT {decl.tag}> declaration")
+        if not isinstance(decl.content, (Empty, AnyContent, PCData, Mixed)):
+            decl.automaton = _ContentAutomaton(decl.content)
         self.elements[decl.tag] = decl
         if self._root is None:
             self._root = decl.tag
@@ -266,7 +278,7 @@ class Dtd:
         if has_text:
             raise DtdValidationError(
                 f"<{element.tag}> has element content but contains text")
-        if not _matches(content, child_tags):
+        if not decl.automaton.matches(child_tags):
             raise DtdValidationError(
                 f"<{element.tag}> children {child_tags} do not match "
                 f"content model {content}")
@@ -345,99 +357,76 @@ def _particle_names(particle: Particle) -> list[str]:
 
 
 # --------------------------------------------------------------------------
-# Content-model matching (NFA over child-tag sequences)
+# Content-model matching (Glushkov position automaton)
 # --------------------------------------------------------------------------
 
 
-def _matches(particle: Particle, tags: list[str]) -> bool:
-    """True if the tag sequence is generated by the content model."""
-    # NFA states are integers; transitions: dict state -> list of
-    # (tag, next_state); epsilon moves handled via closure sets.
-    builder = _NfaBuilder()
-    start, end = builder.build(particle)
-    current = builder.closure({start})
-    for tag in tags:
-        nxt: set[int] = set()
-        for state in current:
-            for move_tag, target in builder.transitions.get(state, ()):
-                if move_tag == tag:
-                    nxt.add(target)
-        if not nxt:
-            return False
-        current = builder.closure(nxt)
-    return end in current
+class _ContentAutomaton:
+    """The Glushkov position automaton of one element-content model.
 
+    Every ``Name`` occurrence is a position; ``follow[p]`` holds the
+    positions that may come right after ``p``, and position 0 is the
+    start. There are no ε-moves. An ambiguous model such as ``(a | a)*``
+    has several positions for one tag, so a state is a set of positions;
+    states are determinised lazily and memoized per ``(state, tag)``, which
+    makes a match one dict lookup per child and linear in the children.
+    Parallel transform workers share the memo; two threads filling the
+    same entry store the same value.
+    """
 
-class _NfaBuilder:
-    """Thompson construction for content-model particles."""
+    def __init__(self, particle: Particle):
+        self._tags = [""]
+        self._follow: list[set[int]] = [set()]
+        nullable, self._follow[0], last = self._visit(particle)
+        self._accept = frozenset(last | {0} if nullable else last)
+        self._start = frozenset((0,))
+        self._moves: dict[tuple[frozenset[int], str], frozenset[int]] = {}
 
-    def __init__(self):
-        self.transitions: dict[int, list[tuple[str, int]]] = {}
-        self.epsilon: dict[int, list[int]] = {}
-        self._next_state = 0
+    def _visit(self, p: Particle) -> tuple[bool, set[int], set[int]]:
+        """``(nullable, first, last)`` of ``p``; adds its follow edges."""
+        follow = self._follow
+        if isinstance(p, Name):
+            nullable, first, last = False, {len(follow)}, {len(follow)}
+            follow.append(set())
+            self._tags.append(p.tag)
+        elif isinstance(p, Seq):
+            nullable, first, last = True, set(), set()
+            for item in p.items:
+                i_nullable, i_first, i_last = self._visit(item)
+                for pos in last:
+                    follow[pos] |= i_first
+                if nullable:
+                    first |= i_first
+                last = i_last | last if i_nullable else i_last
+                nullable = nullable and i_nullable
+        elif isinstance(p, Choice):
+            nullable, first, last = False, set(), set()
+            for item in p.items:
+                i_nullable, i_first, i_last = self._visit(item)
+                nullable = nullable or i_nullable
+                first |= i_first
+                last |= i_last
+        else:
+            raise DtdError(
+                f"content particle {type(p).__name__} cannot be matched")
+        if p.occurs in ("+", "*"):
+            for pos in last:
+                follow[pos] |= first
+        return nullable or p.occurs in ("?", "*"), first, last
 
-    def new_state(self) -> int:
-        state = self._next_state
-        self._next_state += 1
-        return state
-
-    def add_move(self, src: int, tag: str, dst: int) -> None:
-        self.transitions.setdefault(src, []).append((tag, dst))
-
-    def add_epsilon(self, src: int, dst: int) -> None:
-        self.epsilon.setdefault(src, []).append(dst)
-
-    def closure(self, states: set[int]) -> set[int]:
-        stack = list(states)
-        seen = set(states)
-        while stack:
-            state = stack.pop()
-            for target in self.epsilon.get(state, ()):
-                if target not in seen:
-                    seen.add(target)
-                    stack.append(target)
-        return seen
-
-    def build(self, particle: Particle) -> tuple[int, int]:
-        start, end = self._build_base(particle)
-        return self._apply_occurs(start, end, particle.occurs)
-
-    def _build_base(self, particle: Particle) -> tuple[int, int]:
-        if isinstance(particle, Name):
-            start, end = self.new_state(), self.new_state()
-            self.add_move(start, particle.tag, end)
-            return start, end
-        if isinstance(particle, Seq):
-            start = self.new_state()
-            current = start
-            for item in particle.items:
-                i_start, i_end = self.build(item)
-                self.add_epsilon(current, i_start)
-                current = i_end
-            end = self.new_state()
-            self.add_epsilon(current, end)
-            return start, end
-        if isinstance(particle, Choice):
-            start, end = self.new_state(), self.new_state()
-            for item in particle.items:
-                i_start, i_end = self.build(item)
-                self.add_epsilon(start, i_start)
-                self.add_epsilon(i_end, end)
-            return start, end
-        raise DtdError(
-            f"content particle {type(particle).__name__} cannot be matched")
-
-    def _apply_occurs(self, start: int, end: int, occurs: str) -> tuple[int, int]:
-        if occurs == "1":
-            return start, end
-        outer_start, outer_end = self.new_state(), self.new_state()
-        self.add_epsilon(outer_start, start)
-        self.add_epsilon(end, outer_end)
-        if occurs in ("?", "*"):
-            self.add_epsilon(outer_start, outer_end)
-        if occurs in ("+", "*"):
-            self.add_epsilon(end, start)
-        return outer_start, outer_end
+    def matches(self, tags: list[str]) -> bool:
+        """True if the tag sequence is generated by the content model."""
+        state, moves = self._start, self._moves
+        for tag in tags:
+            nxt = moves.get((state, tag))
+            if nxt is None:
+                nxt = frozenset(q for p in state for q in self._follow[p]
+                                if self._tags[q] == tag)
+                if not nxt:
+                    return False
+                moves[state, tag] = nxt
+            state = nxt
+        return not self._accept.isdisjoint(state)
 
 
 # --------------------------------------------------------------------------
@@ -609,7 +598,7 @@ def _parse_attlist(body: str) -> tuple[str, list[AttrDecl]]:
             if attr_type not in _ATTR_TYPES:
                 raise DtdError(
                     f"unsupported attribute type {attr_type!r} on <{tag}>")
-        required = False
+        required = fixed = False
         default: str | None = None
         if index < len(tokens) and tokens[index] == "#REQUIRED":
             required = True
@@ -617,6 +606,7 @@ def _parse_attlist(body: str) -> tuple[str, list[AttrDecl]]:
         elif index < len(tokens) and tokens[index] == "#IMPLIED":
             index += 1
         elif index < len(tokens) and tokens[index] == "#FIXED":
+            fixed = True
             index += 1
             if index >= len(tokens):
                 raise DtdError(f"#FIXED without value on <{tag}>")
@@ -630,7 +620,7 @@ def _parse_attlist(body: str) -> tuple[str, list[AttrDecl]]:
                 f"attribute {name!r} on <{tag}> missing default declaration")
         decls.append(AttrDecl(name=name, attr_type=attr_type,
                               enumeration=enumeration, required=required,
-                              default=default))
+                              default=default, fixed=fixed))
     return tag, decls
 
 

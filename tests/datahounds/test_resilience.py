@@ -4,20 +4,18 @@ circuit breaker state machine, integrity verification."""
 import pytest
 
 from repro.datahounds import (
-    CircuitBreaker,
     FaultInjectingRepository,
     FaultPlan,
     InMemoryRepository,
     ResilientRepository,
-    RetryPolicy,
 )
-from repro.datahounds.resilience import BREAKER_STATE_CODES
 from repro.errors import (
     CircuitOpenError,
     PayloadIntegrityError,
     TransportError,
 )
 from repro.obs import EventLog, MetricsRegistry
+from repro.resilience import BREAKER_STATE_CODES, CircuitBreaker, RetryPolicy
 
 TEXT = "ID   1.1.1.1\nDE   alcohol dehydrogenase.\n//\n"
 

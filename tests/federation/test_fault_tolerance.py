@@ -97,13 +97,18 @@ class TestReplicaCatalog:
 
 class TestSharedResilience:
     def test_harvest_plane_reexports_shared_primitives(self):
-        # PR 4 grew these under repro.datahounds; the query path now
-        # shares them from repro.resilience — same objects, both names
+        # the harvest wrapper builds its retry policy and per-source
+        # breakers from repro.resilience, the same classes the query
+        # path uses; there is no second copy under repro.datahounds
         from repro import resilience as shared
-        from repro.datahounds import resilience as legacy
-        assert legacy.CircuitBreaker is shared.CircuitBreaker
-        assert legacy.RetryPolicy is shared.RetryPolicy
-        assert legacy.ManualClock is shared.ManualClock
+        from repro.datahounds import resilience as harvest
+        clock = ManualClock()
+        wrapper = harvest.ResilientRepository(None, clock=clock)
+        assert type(wrapper.policy) is shared.RetryPolicy
+        breaker = wrapper.breaker("embl")
+        assert type(breaker) is shared.CircuitBreaker
+        assert breaker.clock is clock
+        assert not hasattr(harvest, "ManualClock")
 
     def test_breakers_run_on_the_injected_clock(self):
         from repro.resilience import CircuitBreaker

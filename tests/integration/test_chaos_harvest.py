@@ -11,10 +11,10 @@ from repro.datahounds import (
     FaultPlan,
     InMemoryRepository,
     ResilientRepository,
-    RetryPolicy,
 )
 from repro.engine import Warehouse
 from repro.relational.sqlite_backend import SqliteBackend
+from repro.resilience import RetryPolicy
 from repro.synth import build_corpus, mutate_release
 
 SOURCES = ("hlx_embl", "hlx_enzyme", "hlx_sprot")

@@ -112,7 +112,8 @@ class TestRendering:
 class TestResilienceSection:
     def resilient_setup(self, backend, fail=0):
         from repro.datahounds import (FaultInjectingRepository, FaultPlan,
-                                      ResilientRepository, RetryPolicy)
+                                      ResilientRepository)
+        from repro.resilience import RetryPolicy
         registry = MetricsRegistry()
         warehouse = Warehouse(backend=backend, metrics=registry)
         repository = InMemoryRepository(metrics=registry)

@@ -1,10 +1,13 @@
 """Unit tests for the DTD model, parser and validator."""
 
+import time
+
 import pytest
 
 from repro.errors import DtdError, DtdValidationError
+from repro.xmlkit import dtd as dtd_module
 from repro.xmlkit import parse_document, parse_dtd
-from repro.xmlkit.dtd import Choice, Mixed, Name, PCData, Seq
+from repro.xmlkit.dtd import Choice, Dtd, ElementDecl, Mixed, Name, PCData, Seq
 
 SIMPLE_DTD = """
 <!ELEMENT root (head, item*, tail?)>
@@ -77,6 +80,17 @@ class TestContentModelParsing:
         dtd = parse_dtd("<!-- c --><!ELEMENT r (#PCDATA)>")
         assert dtd.root == "r"
 
+    @pytest.mark.parametrize("model", ["(a, #PCDATA)", "((#PCDATA | a)*, b)"])
+    def test_pcdata_inside_element_content_rejected_at_parse(self, model):
+        with pytest.raises(DtdError, match="PCData cannot be matched"):
+            parse_dtd(f"<!ELEMENT r {model}><!ELEMENT a EMPTY>"
+                      "<!ELEMENT b EMPTY>")
+
+    def test_direct_construction_compiles_too(self):
+        bad = ElementDecl("r", Seq(items=(Name(tag="a"), PCData())))
+        with pytest.raises(DtdError, match="cannot be matched"):
+            Dtd(elements=[bad])
+
 
 class TestAttlist:
     DTD = """
@@ -116,6 +130,27 @@ class TestAttlist:
 
     def test_valid_document_passes(self):
         validate(self.DTD, '<r id="a1" kind="y" note="free text">t</r>')
+
+    FIXED = '<!ELEMENT r EMPTY><!ATTLIST r v CDATA #FIXED "1">'
+
+    def test_fixed_value_enforced(self):
+        assert parse_dtd(self.FIXED).declaration("r").attributes["v"].fixed
+        with pytest.raises(DtdValidationError, match="#FIXED"):
+            validate(self.FIXED, '<r v="2"/>')
+
+    def test_fixed_value_accepted_or_omitted(self):
+        validate(self.FIXED, '<r v="1"/>')
+        validate(self.FIXED, "<r/>")
+
+    NMTOKENS = "<!ELEMENT r EMPTY><!ATTLIST r v NMTOKENS #IMPLIED>"
+
+    @pytest.mark.parametrize("value", ["", "   ", "a b!"])
+    def test_nmtokens_enforced(self, value):
+        with pytest.raises(DtdValidationError, match="not a valid NMTOKENS"):
+            validate(self.NMTOKENS, f'<r v="{value}"/>')
+
+    def test_nmtokens_accepts_token_list(self):
+        validate(self.NMTOKENS, '<r v=" a1 b-2  c.3 "/>')
 
     def test_attlist_for_unknown_element_rejected(self):
         with pytest.raises(DtdError):
@@ -188,6 +223,57 @@ class TestValidation:
         dtd = parse_dtd(SIMPLE_DTD)
         assert dtd.is_valid(parse_document("<root><head>h</head></root>"))
         assert not dtd.is_valid(parse_document("<root/>"))
+
+
+class TestContentErrors:
+    """The five content-model messages, each naming what is wrong."""
+
+    @pytest.mark.parametrize("dtd_text, xml_text, message", [
+        ("<!ELEMENT r EMPTY>", "<r>x</r>",
+         "<r> is declared EMPTY but has content"),
+        (SIMPLE_DTD, "<root><head><item>1</item></head></root>",
+         "<head> is (#PCDATA) but has element children ['item']"),
+        ("<!ELEMENT r (#PCDATA | a)*><!ELEMENT a EMPTY><!ELEMENT b EMPTY>",
+         "<r><a/><b/>t<b/></r>", "<r> mixed content disallows ['b', 'b']"),
+        (SIMPLE_DTD, "<root>stray<head>h</head></root>",
+         "<root> has element content but contains text"),
+        (SIMPLE_DTD, "<root><item>1</item><head>h</head></root>",
+         "<root> children ['item', 'head'] do not match content model "
+         "(head, item*, tail?)"),
+    ])
+    def test_message(self, dtd_text, xml_text, message):
+        with pytest.raises(DtdValidationError) as info:
+            validate(dtd_text, xml_text)
+        assert str(info.value) == message
+
+
+class TestCompiledContentModel:
+    def test_compiled_once_and_reused(self, monkeypatch):
+        dtd = parse_dtd(SIMPLE_DTD)
+        decl = dtd.declaration("root")
+        compiled = decl.automaton
+        assert compiled is not None
+        assert dtd.declaration("head").automaton is None   # (#PCDATA)
+
+        def no_compiling(*args):
+            raise AssertionError("validate compiled a content model")
+        monkeypatch.setattr(dtd_module._ContentAutomaton, "__init__",
+                            no_compiling)
+        doc = parse_document("<root><head>h</head><item>1</item></root>")
+        dtd.validate(doc)
+        dtd.validate(doc)
+        assert decl.automaton is compiled
+
+    @pytest.mark.parametrize("model", ["((a*)*, b)", "((a | a)*, b)"])
+    def test_ambiguous_model_rejects_in_linear_time(self, model):
+        dtd = parse_dtd(f"<!ELEMENT r {model}><!ELEMENT a EMPTY>"
+                        "<!ELEMENT b EMPTY>")
+        doc = parse_document("<r>" + "<a/>" * 10_000 + "</r>")
+        started = time.perf_counter()
+        assert not dtd.is_valid(doc)
+        assert time.perf_counter() - started < 1.0
+        assert dtd.is_valid(parse_document("<r>" + "<a/>" * 10_000
+                                           + "<b/></r>"))
 
 
 class TestDtdTree:
