@@ -4,7 +4,8 @@ The seed loader ran one transaction per document: an existing-entry
 lookup, up to seven statements, and a commit for every entry of a
 release. :class:`~repro.shredding.loader.BulkLoadSession` batches the
 same work — one ``executemany`` per table per batch, one commit per
-batch, secondary indexes deferred and bulk-built on initial loads.
+session, secondary indexes deferred and bulk-built on initial loads.
+The per-document leg is ``store_document``, a session of one.
 This experiment measures the store phase of a 2k-entry synthetic
 ENZYME release both ways, on an on-disk sqlite warehouse (the
 deployment shape: the paper's warehouse is a persistent database, not
@@ -71,7 +72,7 @@ def test_e11_per_document_commit_baseline(benchmark, staged_docs,
 
 def test_e11_bulk_load_pipeline(benchmark, staged_docs, tmp_path_factory):
     """The batched path: buffered shreds, one executemany per table
-    per batch, one commit per batch, deferred index build."""
+    per batch, one commit per session, deferred index build."""
     def setup():
         return (_fresh_loader(tmp_path_factory),), {}
 
@@ -134,26 +135,6 @@ def test_e11_end_to_end_load_text(benchmark, release_text,
 
     def load(warehouse):
         count = warehouse.load_text("hlx_enzyme", release_text)
-        warehouse.close()
-        return count
-
-    benchmark.pedantic(load, setup=setup, rounds=3, iterations=1)
-    benchmark.extra_info["documents"] = CORPUS_SIZE
-    benchmark.extra_info["docs_per_second"] = round(
-        CORPUS_SIZE / benchmark.stats.stats.min)
-
-
-def test_e11_parallel_shred_workers(benchmark, release_text,
-                                    tmp_path_factory):
-    """The worker-pool stage. On a single-core box the GIL makes this
-    a wash; the leg exists to track the overhead and to light up on
-    multi-core runners."""
-    def setup():
-        path = tmp_path_factory.mktemp("e11") / "warehouse.sqlite"
-        return (Warehouse(backend=SqliteBackend(path)),), {}
-
-    def load(warehouse):
-        count = warehouse.load_text("hlx_enzyme", release_text, workers=4)
         warehouse.close()
         return count
 

@@ -85,11 +85,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="source name (hlx_enzyme, hlx_embl, hlx_sprot)")
     load.add_argument("flatfile", help="path to the flat-file release")
     load.add_argument("--batch-size", type=int, default=None,
-                      help="documents per bulk-load flush transaction "
-                           "(default: warehouse bulk_batch_size, 512)")
-    load.add_argument("--workers", type=int, default=None,
-                      help="transform+shred worker threads "
-                           "(default 0: run inline)")
+                      help="documents per bulk-load flush; the load "
+                           "still commits once (default: warehouse "
+                           "bulk_batch_size, 512)")
 
     harvest = sub.add_parser(
         "harvest", help="hound-harvest every source from a mirror "
@@ -411,7 +409,7 @@ def _dispatch(args) -> int:
             counts = federation.load_text(
                 args.source,
                 Path(args.flatfile).read_text(encoding="utf-8"),
-                batch_size=args.batch_size, workers=args.workers)
+                batch_size=args.batch_size)
             per_shard = ", ".join(f"{shard}: {count}"
                                   for shard, count in counts.items())
             print(f"loaded {sum(counts.values())} documents into "
@@ -423,8 +421,7 @@ def _dispatch(args) -> int:
             return 2
         warehouse = _open(args.db)
         count = warehouse.load_file(args.source, args.flatfile,
-                                    batch_size=args.batch_size,
-                                    workers=args.workers)
+                                    batch_size=args.batch_size)
         print(f"loaded {count} documents into {args.source}")
         warehouse.close()
         return 0

@@ -37,18 +37,16 @@ from repro.xmlkit import Document
 class DocumentStore(Protocol):
     """Where shredded documents land (the relational warehouse).
 
-    Stores may additionally expose ``bulk_session()`` returning a
-    context manager with an ``add(source, collection, entry_key,
-    document)`` method; the hound then batches release loads through
-    it instead of calling :meth:`store_document` per entry."""
+    Stores may additionally expose ``load_snapshots()`` (restored when
+    a hound is constructed) and ``optimize()`` (run after each changed
+    release)."""
 
-    def store_document(self, source: str, collection: str, entry_key: str,
-                       document: Document) -> None:
-        """Insert or replace one entry's document."""
-
-    def remove_document(self, source: str, collection: str,
-                        entry_key: str) -> None:
-        """Remove one entry's document (all collections if unknown)."""
+    def bulk_session(self):
+        """One write transaction: a context manager with ``add(source,
+        collection, entry_key, document)``, ``remove(source,
+        entry_key)`` and ``save_snapshot(source, release,
+        fingerprints)``. It commits once on a clean exit and rolls
+        back, leaving the store untouched, when the block raises."""
 
 
 class Repository(Protocol):
@@ -222,24 +220,31 @@ class DataHound:
                     staged.append((key, transformer.collection_of(entry),
                                    document))
 
-            loaded = 0
+            # quarantined keys must not enter the committed snapshot: a
+            # new entry that never loaded is withheld entirely, an
+            # updated one keeps its previous fingerprint — either way
+            # the next refresh sees it as still-pending work instead of
+            # already-applied
+            old_snapshot = self._snapshots.get(source)
+            for key in quarantined:
+                new_snapshot.fingerprints.pop(key, None)
+                if (old_snapshot is not None
+                        and key in old_snapshot.fingerprints):
+                    new_snapshot.fingerprints[key] = (
+                        old_snapshot.fingerprints[key])
+
+            # the round is one transaction: upserts, removals and the
+            # snapshot commit together or, on failure, not at all
             with self._span("store") as store_span:
-                # stores whose DocumentStore offers a bulk session get
-                # the batched pipeline (one transaction per batch of
-                # documents); others fall back to per-document upserts
-                session_factory = getattr(self.store, "bulk_session", None)
-                if session_factory is not None and staged:
-                    with session_factory() as session:
-                        for key, collection, document in staged:
-                            session.add(source, collection, key, document)
-                            loaded += 1
-                else:
+                with self.store.bulk_session() as session:
                     for key, collection, document in staged:
-                        self.store.store_document(source, collection, key,
-                                                  document)
-                        loaded += 1
-                for key in plan.removed:
-                    self.store.remove_document(source, "", key)
+                        session.add(source, collection, key, document)
+                    for key in plan.removed:
+                        session.remove(source, key)
+                    session.save_snapshot(source, new_snapshot.release,
+                                          new_snapshot.fingerprints)
+            loaded = len(staged)
+            self._snapshots[source] = new_snapshot
 
             optimize = getattr(self.store, "optimize", None)
             if optimize is not None and not plan.is_noop:
@@ -254,23 +259,6 @@ class DataHound:
                     load_span.meta["entries_per_s"] = round(
                         loaded / store_span.duration_s, 2)
 
-        # quarantined keys must not enter the committed snapshot: a new
-        # entry that never loaded is withheld entirely, an updated one
-        # keeps its previous fingerprint — either way the next refresh
-        # sees it as still-pending work instead of already-applied
-        if quarantined:
-            old_snapshot = self._snapshots.get(source)
-            for key in quarantined:
-                new_snapshot.fingerprints.pop(key, None)
-                if (old_snapshot is not None
-                        and key in old_snapshot.fingerprints):
-                    new_snapshot.fingerprints[key] = (
-                        old_snapshot.fingerprints[key])
-        self._snapshots[source] = new_snapshot
-        persist = getattr(self.store, "save_snapshot", None)
-        if persist is not None:
-            persist(source, new_snapshot.release,
-                    new_snapshot.fingerprints)
         self._record_load(source, fetched.release, plan, loaded,
                           perf_counter() - start)
         if plan.is_noop:

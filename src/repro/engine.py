@@ -32,7 +32,7 @@ from repro.relational.backend import Backend
 from repro.relational.schema import SchemaOptions
 from repro.relational.sqlite_backend import SqliteBackend
 from repro.results.resultset import BoundNode, QueryResult, ResultRow
-from repro.shredding.loader import WarehouseLoader
+from repro.shredding.loader import WarehouseLoader, execute_in_chunks
 from repro.shredding.reconstruct import reconstruct_document
 from repro.shredding.shredder import DEFAULT_SEQUENCE_TAGS
 from repro.translator.cache import CompiledQueryCache
@@ -57,7 +57,6 @@ class Warehouse:
                  metrics=None,
                  slow_query_ms: float = 250.0,
                  bulk_batch_size: int = 512,
-                 bulk_workers: int = 0,
                  query_cache: int = 128):
         """``create=False`` attaches to a backend whose generic schema
         already exists (reopening an on-disk warehouse).
@@ -82,10 +81,10 @@ class Warehouse:
         compiled SQL, row counts, cache hit/miss and EXPLAIN output
         for any query slower than ``slow_query_ms``.
 
-        ``bulk_batch_size``/``bulk_workers`` set the defaults for the
-        batched load pipeline (documents per flush transaction /
-        transform+shred worker threads); ``query_cache`` sizes the
-        compiled-query LRU (0 disables it). See docs/performance.md.
+        ``bulk_batch_size`` sets the documents per bulk-session flush
+        (bounding a load's buffered rows; a session still commits
+        once); ``query_cache`` sizes the compiled-query LRU (0
+        disables it). See docs/performance.md.
         """
         from repro.obs import (EventLog, InstrumentedBackend, NullMetrics,
                                SlowQueryLog, Tracer, resolve_metrics)
@@ -124,8 +123,7 @@ class Warehouse:
                                       sequence_tags=sequence_tags,
                                       create=create, tracer=self.tracer,
                                       metrics=self._metrics_sink,
-                                      bulk_batch_size=bulk_batch_size,
-                                      bulk_workers=bulk_workers)
+                                      bulk_batch_size=bulk_batch_size)
         self.xomatiq = XomatiQ(self, cache_size=query_cache)
 
     def enable_tracing(self, tracer=None, max_spans: int | None = None):
@@ -162,30 +160,26 @@ class Warehouse:
     # -- loading ---------------------------------------------------------------
 
     def load_text(self, source: str, flat_text: str,
-                  batch_size: int | None = None,
-                  workers: int | None = None) -> int:
+                  batch_size: int | None = None) -> int:
         """Transform and load a flat-file release directly (no
         transport layer); returns the number of documents loaded.
 
-        Runs through the batched bulk-load pipeline: transform+shred
-        (parallelized across ``workers`` threads when > 1), rows
-        buffered and flushed one ``executemany`` per table per
-        ``batch_size`` documents in a single transaction, ANALYZE
-        deferred to the end of the release."""
+        The release is one bulk session, so one transaction: rows are
+        flushed one ``executemany`` per table per ``batch_size``
+        documents, committed once at the end, and ANALYZE runs after
+        the commit."""
         from repro.flatfile import parse_entries
         return self.load_entries(source, parse_entries(flat_text),
-                                 batch_size=batch_size, workers=workers)
+                                 batch_size=batch_size)
 
     def load_entries(self, source: str, entries,
-                     batch_size: int | None = None,
-                     workers: int | None = None) -> int:
+                     batch_size: int | None = None) -> int:
         """Transform and load already-parsed flat-file entries through
         the bulk pipeline (the federation layer partitions one release
         into contiguous entry slices and feeds each shard this way)."""
         transformer = self.registry.create(source,
                                            validate=self.validate_sources)
-        with self.loader.bulk_session(batch_size=batch_size,
-                                      workers=workers) as session:
+        with self.loader.bulk_session(batch_size=batch_size) as session:
             count = session.add_transformed(
                 source, entries,
                 lambda entry: (transformer.collection_of(entry),
@@ -203,18 +197,20 @@ class Warehouse:
             analyze()
 
     def load_file(self, source: str, path,
-                  batch_size: int | None = None,
-                  workers: int | None = None) -> int:
+                  batch_size: int | None = None) -> int:
         """Transform and load a flat-file release from disk, streaming
         entry by entry through the bulk-load pipeline (multi-hundred-MB
         dumps never need to be memory-resident — at most one batch of
-        shredded rows is buffered)."""
+        shredded rows is buffered).
+
+        The whole file is still one transaction: the write lock and
+        the WAL last for the entire load, and writers on other
+        connections fail once they have waited ``busy_timeout``."""
         from repro.flatfile import iter_entries
         transformer = self.registry.create(source,
                                            validate=self.validate_sources)
         with open(path, encoding="utf-8") as handle:
-            with self.loader.bulk_session(batch_size=batch_size,
-                                          workers=workers) as session:
+            with self.loader.bulk_session(batch_size=batch_size) as session:
                 count = session.add_transformed(
                     source, iter_entries(handle),
                     lambda entry: (transformer.collection_of(entry),
@@ -293,40 +289,30 @@ class Warehouse:
                 "AND collection = ?", (source, collection))
         return bool(rows and rows[0][0])
 
-    #: doc ids per batched DELETE (well under engine parameter limits)
-    _REMOVE_CHUNK = 200
-
     def remove_source(self, source: str) -> int:
-        """Delete every document of one source; returns the number of
-        documents removed (decommissioning a databank).
+        """Delete every document of one source and its persisted
+        snapshot; returns the number of documents removed
+        (decommissioning a databank).
 
-        Deletes are batched — one ``WHERE doc_id IN (...)`` statement
-        per table per chunk of ids instead of one statement per
-        document per table — and the table list comes from the schema
-        module, so a new generic-schema table can never leak rows."""
-        from repro.relational.schema import TABLE_NAMES
-        doc_ids = self.loader.doc_ids(source)
-        if not doc_ids:
+        One bulk session, so one transaction: the documents and the
+        snapshot row go together or, on failure, not at all. A
+        snapshot left behind would make a reconnected hound diff
+        against documents that no longer exist and skip re-loading
+        them."""
+        keys = [row[0] for row in self.backend.execute(
+            "SELECT entry_key FROM documents WHERE source = ?", (source,))]
+        if not keys:
             return 0
-        for table in TABLE_NAMES:
-            for start in range(0, len(doc_ids), self._REMOVE_CHUNK):
-                chunk = doc_ids[start:start + self._REMOVE_CHUNK]
-                placeholders = ", ".join("?" for __ in chunk)
-                self.backend.execute(
-                    f"DELETE FROM {table} WHERE doc_id IN ({placeholders})",
-                    tuple(chunk))
-        self.backend.commit()
-        self.loader.bump_generation()
-        # a decommissioned source's persisted snapshot must go too, or
-        # a reconnected hound would diff against documents that no
-        # longer exist and skip re-loading them
-        self.loader.delete_snapshot(source)
+        with self.loader.bulk_session() as session:
+            for key in keys:
+                session.remove(source, key)
+            session.delete_snapshot(source)
         if self._metrics_sink is not None:
             self._metrics_sink.inc("warehouse.documents_removed",
-                                   len(doc_ids), source=source)
+                                   len(keys), source=source)
         self.events.emit("warehouse.remove_source", source=source,
-                         documents=len(doc_ids))
-        return len(doc_ids)
+                         documents=len(keys))
+        return len(keys)
 
     def stats(self) -> dict[str, int]:
         """Row counts of every generic-schema table plus per-source
@@ -382,21 +368,17 @@ class Warehouse:
             f"WHERE token IN ({placeholders}) GROUP BY doc_id",
             tuple(tokens)))
         results: list[dict] = []
-        doc_ids = sorted(matching)
-        for start in range(0, len(doc_ids), self._REMOVE_CHUNK):
-            chunk = doc_ids[start:start + self._REMOVE_CHUNK]
-            placeholders = ", ".join("?" for __ in chunk)
-            for doc_id, doc_source, collection, entry_key in \
-                    self.backend.execute(
-                        f"SELECT doc_id, source, collection, entry_key "
-                        f"FROM documents WHERE doc_id IN ({placeholders})",
-                        tuple(chunk)):
-                if source is not None and doc_source != source:
-                    continue
-                results.append({"doc_id": doc_id, "source": doc_source,
-                                "collection": collection,
-                                "entry_key": entry_key,
-                                "matches": int(counts.get(doc_id, 0))})
+        for doc_id, doc_source, collection, entry_key in execute_in_chunks(
+                self.backend,
+                "SELECT doc_id, source, collection, entry_key "
+                "FROM documents WHERE doc_id IN ({placeholders})",
+                sorted(matching)):
+            if source is not None and doc_source != source:
+                continue
+            results.append({"doc_id": doc_id, "source": doc_source,
+                            "collection": collection,
+                            "entry_key": entry_key,
+                            "matches": int(counts.get(doc_id, 0))})
         results.sort(key=lambda hit: (-hit["matches"], hit["doc_id"]))
         return results[:limit]
 

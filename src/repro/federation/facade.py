@@ -233,8 +233,7 @@ class FederatedXomatiQ:
     # -- loading --------------------------------------------------------------
 
     def load_text(self, source: str, flat_text: str,
-                  batch_size: int | None = None,
-                  workers: int | None = None) -> dict[str, int]:
+                  batch_size: int | None = None) -> dict[str, int]:
         """Load one release into the source's shard(s); returns
         per-shard document counts.
 
@@ -254,15 +253,14 @@ class FederatedXomatiQ:
         for shard, chunk in zip(shards, _slices(entries, len(shards))):
             warehouse = self.catalog.warehouse(shard)
             counts[shard] = warehouse.load_entries(
-                source, chunk, batch_size=batch_size, workers=workers)
+                source, chunk, batch_size=batch_size)
             if self._metrics_sink is not None:
                 self._metrics_sink.inc("federation.documents_loaded",
                                        counts[shard], shard=shard)
             for replica in self.catalog.replicas(shard):
                 try:
                     self.catalog.warehouse(replica.name).load_entries(
-                        source, chunk, batch_size=batch_size,
-                        workers=workers)
+                        source, chunk, batch_size=batch_size)
                 except ShardUnreachableError:
                     # a down replica just loses this slice; the primary
                     # still holds it, and health reports the replica

@@ -181,8 +181,8 @@ class Tracer:
     ``(untracked)`` span so nothing is silently dropped.
 
     The open-span stack is **thread-local**: a span opened in a
-    ``BulkLoadSession --workers`` thread nests under that thread's own
-    spans (or becomes a top-level span), never under whatever the main
+    federation scatter-pool thread nests under that thread's own spans
+    (or under an explicit ``parent``), never under whatever the main
     thread happens to have open. The shared ``spans`` list and the
     per-thread catch-all spans are guarded by a lock.
 

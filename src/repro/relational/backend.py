@@ -41,5 +41,9 @@ class Backend(Protocol):
     def commit(self) -> None:
         """Make prior DML durable (no-op for in-memory engines)."""
 
+    def rollback(self) -> None:
+        """Discard DML since the last commit (a failed bulk session's
+        rows). Engines without transactions document a no-op."""
+
     def close(self) -> None:
         """Release resources."""

@@ -58,6 +58,11 @@ class MiniDbBackend:
     def commit(self) -> None:
         """In-memory engine: nothing to flush."""
 
+    def rollback(self) -> None:
+        """No-op: minidb is non-atomic, every statement applies as it
+        runs. It is the oracle engine, not a product back end, so a
+        failed bulk session keeps the batches it already flushed."""
+
     def analyze(self) -> None:
         """Statistics hook for parity with SqliteBackend; minidb reads
         live table sizes directly, so there is nothing to refresh."""

@@ -138,6 +138,11 @@ class SqliteBackend:
         with self._lock:
             self._connection.commit()
 
+    def rollback(self) -> None:
+        """Discard every write since the last commit."""
+        with self._lock:
+            self._connection.rollback()
+
     def analyze(self) -> None:
         """Refresh planner statistics. Without ANALYZE, sqlite's
         optimizer has no cardinality estimates over the generic schema

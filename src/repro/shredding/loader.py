@@ -1,26 +1,25 @@
 """Load shredded rows into a relational backend.
 
-:class:`WarehouseLoader` is the glue between the Data Hounds (which
-hand it validated documents) and the backend (which sees only SQL). It
-implements the :class:`~repro.datahounds.hound.DocumentStore` protocol:
-``store_document`` is upsert-by-entry (replacing any previous version
-of the same ``(source, collection, entry_key)``), ``remove_document``
-deletes every row of the entry's document — together they give the
-paper's "nothing left out, nothing added twice" update behaviour.
+:class:`BulkLoadSession` is the one write path: every row that reaches
+the warehouse — a release load, a harvest round, a single upsert, a
+source's decommissioning — goes through one session, and one session
+is one transaction. It buffers shredded rows across documents, flushes
+one ``executemany`` per table per batch (bounding memory, never
+committing), and at the end writes the removals and the release
+snapshot and commits once. A failure rolls the whole session back.
 
-:class:`BulkLoadSession` is the release-scale path: instead of one
-transaction per document it accumulates shredded rows across documents
-and flushes one ``executemany`` per table per batch, committing once
-per batch. The CPU-bound transform+shred work can additionally run in
-a worker pool (:meth:`BulkLoadSession.add_transformed`) while inserts
-stay ordered on the calling thread, so the backend always sees rows in
-doc-id order.
+:class:`WarehouseLoader` owns the backend and hands out sessions. Its
+``store_document`` / ``remove_document`` / ``save_snapshot`` are each a
+session of one, so together with the Data Hounds they give the paper's
+"nothing left out, nothing added twice" update behaviour.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import threading
+from collections import Counter
 from contextlib import nullcontext
 from time import perf_counter
 from typing import Callable, Iterable
@@ -43,14 +42,6 @@ from repro.shredding.shredder import (
     shred_document,
 )
 from repro.xmlkit import Document
-
-#: derived from the schema module so a new generic-schema table can
-#: never leak rows on per-entry upsert (same drift class as
-#: ``Warehouse.remove_source`` fixed earlier)
-_DELETE_BY_DOC = {
-    table: f"DELETE FROM {table} WHERE doc_id = ?"
-    for table in TABLE_NAMES
-}
 
 #: secondary-index names, derived from the schema DDL so deferred index
 #: builds can never miss an index added later
@@ -75,21 +66,22 @@ _IN_CHUNK = 200
 
 
 def execute_in_chunks(backend, template: str, values,
-                      params: tuple = (), chunk: int = _IN_CHUNK) -> list:
-    """Run one parameterized IN-list statement per chunk of ``values``.
+                      params: tuple = ()) -> list:
+    """Run one parameterized IN-list statement per ``_IN_CHUNK``
+    values.
 
     ``template`` carries a ``{placeholders}`` slot that each execution
     fills with the chunk's ``?`` markers; ``params`` are prefix
     parameters bound before the chunk (e.g. a ``source = ?`` filter).
     Returns the concatenated rows of every chunk. This is the one
-    IN-list idiom in the codebase — the bulk loader's upsert-delete
-    and the subscription engine's entry-key lookups both go through
-    it, so id lists never end up interpolated into SQL text.
+    IN-list idiom in the codebase — the bulk session's deletes and the
+    subscription engine's entry-key lookups both go through it, so id
+    lists never end up interpolated into SQL text.
     """
     values = list(values)
     rows: list = []
-    for start in range(0, len(values), chunk):
-        part = values[start:start + chunk]
+    for start in range(0, len(values), _IN_CHUNK):
+        part = values[start:start + _IN_CHUNK]
         placeholders = ", ".join("?" for __ in part)
         rows.extend(backend.execute(
             template.format(placeholders=placeholders),
@@ -106,25 +98,30 @@ class WarehouseLoader:
                  create: bool = True,
                  tracer=None,
                  metrics=None,
-                 bulk_batch_size: int = 512,
-                 bulk_workers: int = 0):
+                 bulk_batch_size: int = 512):
         self.backend = backend
         self.options = options
         self.sequence_tags = sequence_tags
-        #: optional :class:`repro.obs.Tracer`; when set, stores record
-        #: per-table row counts and shred/insert split on load spans
+        #: optional :class:`repro.obs.Tracer`; when set, sessions record
+        #: per-table row counts on their flush spans
         self.tracer = tracer
         #: optional :class:`repro.obs.MetricsRegistry` — the always-on
         #: plane: documents/rows-per-table counters, flush timings,
         #: deferred-index rebuild counts
         self.metrics = metrics
-        #: defaults for :meth:`bulk_session`
+        #: default documents per flush for :meth:`bulk_session`
         self.bulk_batch_size = bulk_batch_size
-        self.bulk_workers = bulk_workers
-        #: catalog generation — bumped by every store/remove/flush so
-        #: compiled-query caches can tell when semantic checks (which
-        #: documents exist) and results may have gone stale
+        #: catalog generation — bumped once by every session that
+        #: stored or removed documents, so compiled-query caches can
+        #: tell when semantic checks (which documents exist) and
+        #: results may have gone stale
         self.generation = 0
+        #: held by each session from ``__enter__`` to its commit or
+        #: rollback, so the session is the only writer on a connection
+        #: it shares with other threads; any other writer on that
+        #: connection (subscription persistence) takes it around its
+        #: statements and commit
+        self.write_lock = threading.RLock()
         if create:
             create_schema(backend, options)
         self._ensure_snapshot_table()
@@ -146,67 +143,40 @@ class WarehouseLoader:
             self.backend.commit()
 
     def bump_generation(self) -> None:
-        """Note a catalog mutation (store, remove, bulk flush)."""
+        """Note a catalog mutation (a session that wrote documents)."""
         self.generation += 1
 
-    # -- DocumentStore protocol -------------------------------------------------
+    def bulk_session(self, batch_size: int | None = None
+                     ) -> "BulkLoadSession":
+        """One write transaction (see :class:`BulkLoadSession`);
+        ``batch_size`` defaults to the loader's ``bulk_batch_size``."""
+        return BulkLoadSession(self, batch_size=batch_size)
+
+    # -- sessions of one ---------------------------------------------------------
 
     def store_document(self, source: str, collection: str, entry_key: str,
                        document: Document) -> int:
         """Insert (or replace) one entry's document; returns its doc_id."""
-        self._delete_entry(source, entry_key, collection)
-        doc_id = self._reserve_doc_id()
-        shredded = shred_document(
-            document, doc_id, source, collection, entry_key,
-            sequence_tags=self.sequence_tags,
-            numeric_typing=self.options.numeric_typing)
-        self._insert_rows(shredded)
-        self.backend.commit()
-        self.bump_generation()
-        if self.tracer is not None:
-            self.tracer.count("documents")
-        if self.metrics is not None:
-            self.metrics.inc("load.documents", source=source)
-        return doc_id
+        with self.bulk_session() as session:
+            return session.add(source, collection, entry_key, document)
 
     def remove_document(self, source: str, collection: str,
                         entry_key: str) -> None:
-        """Delete one entry's document. An empty ``collection`` matches
-        any collection (the hound does not track divisions of removed
-        entries)."""
-        self._delete_entry(source, entry_key,
-                           collection if collection else None)
-        self.backend.commit()
-        self.bump_generation()
+        """Delete one entry's document. ``collection`` is not needed to
+        find it: a source stores at most one document per entry key
+        (adds replace across collections), so any collection matches."""
+        with self.bulk_session() as session:
+            session.remove(source, entry_key)
 
-    # -- bulk/lookup helpers ----------------------------------------------------
+    def save_snapshot(self, source: str, release: str,
+                      fingerprints: dict[str, str]) -> None:
+        """Persist one source's loaded-release snapshot (replacing any
+        previous row). A harvest round saves it inside its own session
+        instead, so rows and snapshot always commit together."""
+        with self.bulk_session() as session:
+            session.save_snapshot(source, release, fingerprints)
 
-    def bulk_session(self, batch_size: int | None = None,
-                     workers: int | None = None,
-                     upsert: bool = True,
-                     defer_indexes: bool | None = None) -> "BulkLoadSession":
-        """A batched load session (see :class:`BulkLoadSession`).
-
-        ``batch_size``/``workers`` default to the loader's
-        ``bulk_batch_size``/``bulk_workers``; ``upsert=False`` skips
-        the existing-entry lookup entirely (safe only on a fresh
-        source). ``defer_indexes`` drops the secondary indexes for the
-        session's lifetime and rebuilds them sorted at the end — the
-        default ``None`` enables it automatically for initial loads
-        into an empty warehouse, where incremental index maintenance
-        is pure overhead."""
-        return BulkLoadSession(self, batch_size=batch_size,
-                               workers=workers, upsert=upsert,
-                               defer_indexes=defer_indexes)
-
-    def store_documents(self, source: str, collection: str,
-                        keyed_documents: list[tuple[str, Document]]) -> int:
-        """Bulk-load fresh documents (no per-entry delete); returns the
-        number loaded. Use only on an empty source."""
-        with self.bulk_session(upsert=False) as session:
-            for entry_key, document in keyed_documents:
-                session.add(source, collection, entry_key, document)
-        return session.documents_loaded
+    # -- reads ---------------------------------------------------------------------
 
     def optimize(self) -> None:
         """Refresh backend planner statistics (no-op for backends
@@ -216,22 +186,6 @@ class WarehouseLoader:
         if analyze is not None:
             analyze()
 
-    # -- release-snapshot persistence (hound crash recovery) --------------------
-
-    def save_snapshot(self, source: str, release: str,
-                      fingerprints: dict[str, str]) -> None:
-        """Persist one source's loaded-release snapshot (replacing any
-        previous row). The hound calls this after every successful
-        load, so a restarted process resumes incremental diffs."""
-        payload = json.dumps(fingerprints, sort_keys=True,
-                             separators=(",", ":"))
-        self.backend.execute(
-            "DELETE FROM hound_snapshots WHERE source = ?", (source,))
-        self.backend.execute(
-            "INSERT INTO hound_snapshots (source, release_id, fingerprints)"
-            " VALUES (?, ?, ?)", (source, release, payload))
-        self.backend.commit()
-
     def load_snapshots(self) -> dict[str, tuple[str, dict[str, str]]]:
         """Every persisted snapshot: source → (release, fingerprint
         map). Restored by :class:`~repro.datahounds.hound.DataHound`
@@ -240,12 +194,6 @@ class WarehouseLoader:
             "SELECT source, release_id, fingerprints FROM hound_snapshots")
         return {source: (release, json.loads(payload))
                 for source, release, payload in rows}
-
-    def delete_snapshot(self, source: str) -> None:
-        """Forget one source's persisted snapshot (decommissioning)."""
-        self.backend.execute(
-            "DELETE FROM hound_snapshots WHERE source = ?", (source,))
-        self.backend.commit()
 
     def doc_ids(self, source: str, collection: str | None = None) -> list[int]:
         """Stored doc ids of a source (optionally one collection)."""
@@ -275,89 +223,58 @@ class WarehouseLoader:
         self._next_doc_id += 1
         return doc_id
 
-    def _insert_rows(self, shredded: ShreddedDocument) -> None:
-        tracer = self.tracer
-        metrics = self.metrics
-        for table, rows in shredded.rows_by_table().items():
-            if rows:
-                self.backend.executemany(INSERT_STATEMENTS[table], rows)
-                if tracer is not None:
-                    tracer.count(f"rows.{table}", len(rows))
-                if metrics is not None:
-                    metrics.inc("load.rows", len(rows), table=table)
-
-    def _delete_entry(self, source: str, entry_key: str,
-                      collection: str | None) -> None:
-        if collection is None:
-            rows = self.backend.execute(
-                "SELECT doc_id FROM documents WHERE source = ? "
-                "AND entry_key = ?", (source, entry_key))
-        else:
-            rows = self.backend.execute(
-                "SELECT doc_id FROM documents WHERE source = ? "
-                "AND entry_key = ? AND collection = ?",
-                (source, entry_key, collection))
-        for (doc_id,) in rows:
-            for statement in _DELETE_BY_DOC.values():
-                self.backend.execute(statement, (doc_id,))
-
 
 class BulkLoadSession:
-    """Batched, optionally parallel document loading.
+    """One write transaction over the warehouse.
 
-    Documents added via :meth:`add` (or the worker-pool
-    :meth:`add_transformed`) are shredded immediately but their rows
-    are buffered; every ``batch_size`` documents the session flushes —
-    one batched existing-entry delete (upsert mode), then one
-    ``executemany`` per generic-schema table, then a single commit.
-    Compared with :meth:`WarehouseLoader.store_document`'s
-    seven-statements-plus-commit per document, a flush costs a handful
-    of statements per *batch*, which is where release-scale load
-    throughput comes from.
-
-    Use as a context manager::
+    :meth:`add` shreds a document and buffers its rows, :meth:`remove`
+    drops an entry, :meth:`save_snapshot` / :meth:`delete_snapshot`
+    stage a source's release-snapshot row. Every ``batch_size``
+    documents the session flushes — one batched existing-entry delete,
+    then one ``executemany`` per generic-schema table — which bounds
+    memory but never commits. A clean exit writes the remaining
+    documents, then the removals, then the snapshots, and commits once;
+    if the block raises, :meth:`~repro.relational.backend.Backend.rollback`
+    leaves the warehouse exactly as it was (minidb has no transactions,
+    so there the flushed batches stay). Use as a context manager::
 
         with loader.bulk_session(batch_size=512) as session:
             for entry in entries:
                 session.add(source, collection, key, document)
-        # remainder flushed on clean exit; pending rows are discarded
-        # if the block raises (complete batches stay committed)
+            session.remove(source, vanished_key)
+            session.save_snapshot(source, release, fingerprints)
+
+    A second connection to a file-backed warehouse sees the session's
+    changes all at once or not at all. Other threads writing on the
+    session's own connection wait on the loader's ``write_lock`` until
+    it commits or rolls back, so neither can commit or discard the
+    other's statements. Readers on that connection are not isolated:
+    they see flushed, uncommitted rows.
 
     Upsert semantics match the entry-level contract: any previously
     stored document with the same ``(source, entry_key)`` — in *any*
-    collection, mirroring ``remove_document``'s empty-collection
-    wildcard — is deleted in the same transaction that inserts the
+    collection — is deleted in the same transaction that inserts the
     replacement. A key added twice in one session keeps the later
-    document. ``ANALYZE`` is deliberately deferred: callers run
-    :meth:`WarehouseLoader.optimize` once per release, not per batch.
+    document; a key removed after it was added is gone, and one added
+    after it was removed is stored. ``ANALYZE`` is deliberately left to
+    the caller: :meth:`WarehouseLoader.optimize` runs once per release,
+    after the commit.
 
-    On initial loads into an empty warehouse (or with
-    ``defer_indexes=True``) the secondary indexes are dropped at
-    ``__enter__`` and rebuilt sorted at ``__exit__`` — a bulk index
-    build over the loaded rows instead of per-row B-tree maintenance.
-    The rebuild also runs when the block raises, so committed batches
-    always end up indexed.
+    On an initial load into an empty warehouse the secondary indexes
+    are dropped at ``__enter__`` and rebuilt sorted before the commit —
+    a bulk index build over the loaded rows instead of per-row B-tree
+    maintenance. When the block raises they are rebuilt after the
+    rollback, so the warehouse always keeps its full index set.
     """
 
-    #: entry keys per existing-doc lookup / doc ids per DELETE chunk
-    #: (well under engine parameter limits)
-    _SQL_CHUNK = 200
-
     def __init__(self, loader: WarehouseLoader,
-                 batch_size: int | None = None,
-                 workers: int | None = None,
-                 upsert: bool = True,
-                 defer_indexes: bool | None = None):
+                 batch_size: int | None = None):
         self.loader = loader
         if batch_size is None:
             batch_size = loader.bulk_batch_size
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         self.batch_size = batch_size
-        self.workers = (loader.bulk_workers if workers is None
-                        else workers)
-        self.upsert = upsert
-        self.defer_indexes = defer_indexes
         self._indexes_dropped = False
         #: set in ``__enter__``; on an initially-empty warehouse the
         #: only entries an upsert can collide with are the session's
@@ -366,14 +283,18 @@ class BulkLoadSession:
         self._flushed_keys: set[tuple[str, str]] = set()
         #: documents added so far (within-batch replacements included)
         self.documents_loaded = 0
-        #: completed batch flushes
+        #: batch flushes written (none of them committed on its own)
         self.flushes = 0
         self._pending: list[tuple[tuple[str, str], ShreddedDocument] | None]
         self._pending = []
         self._pending_index: dict[tuple[str, str], int] = {}
         self._live = 0
+        self._removed: set[tuple[str, str]] = set()
+        #: source → (release, fingerprint JSON) to write, or None to
+        #: delete the source's row
+        self._snapshots: dict[str, tuple[str, str] | None] = {}
 
-    # -- adding documents ---------------------------------------------------
+    # -- staging ------------------------------------------------------------
 
     def add(self, source: str, collection: str, entry_key: str,
             document: Document) -> int:
@@ -384,57 +305,50 @@ class BulkLoadSession:
             document, doc_id, source, collection, entry_key,
             sequence_tags=self.loader.sequence_tags,
             numeric_typing=self.loader.options.numeric_typing)
-        self._buffer(source, entry_key, shredded)
+        key = (source, entry_key)
+        self._removed.discard(key)
+        self._drop_pending(key)
+        self._pending_index[key] = len(self._pending)
+        self._pending.append((key, shredded))
+        self._live += 1
+        self.documents_loaded += 1
+        if self._live >= self.batch_size:
+            self.flush()
         return doc_id
 
     def add_transformed(self, source: str, items: Iterable,
                         transform: Callable) -> int:
-        """Feed the session through ``transform(item) -> (collection,
-        entry_key, document)``, shredding included; returns the number
-        of documents added.
-
-        With ``workers > 1`` the transform+shred stage (the CPU-bound
-        part of a load) runs in a thread pool; results come back in
-        input order, so buffering — and therefore every insert the
-        backend sees — stays ordered on the calling thread. On a traced
-        loader the fan-out runs inside a ``shred_fanout`` span on the
-        calling thread, and each worker-side shred span is parented to
-        it explicitly (worker threads cannot see the coordinator's
-        thread-local span stack), so a bulk load's trace stays one
-        connected tree instead of scattering orphan roots.
-        """
+        """:meth:`add` every ``transform(item) -> (collection,
+        entry_key, document)``; returns the number of documents added."""
         before = self.documents_loaded
-        job = self._shred_job(source, transform)
-        numbered = ((self.loader._reserve_doc_id(), item)
-                    for item in items)
-        if self.workers and self.workers > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            tracer = self.loader.tracer
-            span_context = (tracer.span("shred_fanout", source=source,
-                                        workers=self.workers)
-                            if tracer is not None else nullcontext(None))
-            with span_context as fanout:
-                if tracer is not None:
-                    inner_job = job
-
-                    def job(pair, __job=inner_job):
-                        with tracer.span("shred", parent=fanout):
-                            return __job(pair)
-
-                with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                    for entry_key, shredded in pool.map(job, numbered):
-                        self._buffer(source, entry_key, shredded)
-        else:
-            for pair in numbered:
-                entry_key, shredded = job(pair)
-                self._buffer(source, entry_key, shredded)
+        for item in items:
+            self.add(source, *transform(item))
         return self.documents_loaded - before
 
-    # -- flushing -----------------------------------------------------------
+    def remove(self, source: str, entry_key: str) -> None:
+        """Delete one entry's document, in whatever collection it is
+        stored, when the session commits."""
+        key = (source, entry_key)
+        self._drop_pending(key)
+        self._removed.add(key)
+
+    def save_snapshot(self, source: str, release: str,
+                      fingerprints: dict[str, str]) -> None:
+        """Replace one source's persisted release snapshot at commit
+        (the hound's crash-recovery state: a restarted process resumes
+        incremental diffs from it)."""
+        self._snapshots[source] = (release, json.dumps(
+            fingerprints, sort_keys=True, separators=(",", ":")))
+
+    def delete_snapshot(self, source: str) -> None:
+        """Forget one source's persisted snapshot at commit."""
+        self._snapshots[source] = None
+
+    # -- writing ------------------------------------------------------------
 
     def flush(self) -> int:
-        """Write out all buffered documents in one transaction; returns
-        the number of documents flushed (0 when nothing is pending)."""
+        """Write out all buffered documents (uncommitted); returns the
+        number of documents flushed (0 when nothing is pending)."""
         pending = [item for item in self._pending if item is not None]
         if not pending:
             return 0
@@ -445,16 +359,13 @@ class BulkLoadSession:
         span_context = (tracer.span("flush", batch=len(pending))
                         if tracer is not None else nullcontext(None))
         with span_context as span:
-            if self.upsert:
-                keys = [key for key, __ in pending]
-                if self._warehouse_was_empty:
-                    keys = [key for key in keys
-                            if key in self._flushed_keys]
-                if keys:
-                    self._delete_existing(backend, keys)
-                if self._warehouse_was_empty:
-                    self._flushed_keys.update(
-                        key for key, __ in pending)
+            keys = [key for key, __ in pending]
+            if self._warehouse_was_empty:
+                flushed = self._flushed_keys
+                self._delete_existing([key for key in keys if key in flushed])
+                flushed.update(keys)
+            else:
+                self._delete_existing(keys)
             merged: dict[str, list[tuple]] = {
                 table: [] for table in TABLE_NAMES}
             for __, shredded in pending:
@@ -469,59 +380,100 @@ class BulkLoadSession:
                         span.count(f"rows.{table}", len(rows))
                     if metrics is not None:
                         metrics.inc("load.rows", len(rows), table=table)
-            backend.commit()
             if span is not None:
                 span.count("documents", len(pending))
         if metrics is not None:
             metrics.inc("load.flushes")
-            metrics.inc("load.documents", len(pending))
+            for source, count in Counter(
+                    key[0] for key, __ in pending).items():
+                metrics.inc("load.documents", count, source=source)
             metrics.observe("load.flush_seconds", perf_counter() - start)
             metrics.observe("load.batch_documents", len(pending),
                             buckets=SIZE_BUCKETS)
         self.flushes += 1
-        self.loader.bump_generation()
-        self._pending.clear()
-        self._pending_index.clear()
-        self._live = 0
+        self._clear_pending()
         return len(pending)
 
-    def close(self) -> None:
-        """Flush the remainder (alias for one final :meth:`flush`)."""
-        self.flush()
-
     def __enter__(self) -> "BulkLoadSession":
-        self._warehouse_was_empty = self.loader.document_count() == 0
-        defer = self.defer_indexes
-        if defer is None:
-            # auto: only initial loads into an empty warehouse, where
-            # no concurrent reader can miss the indexes mid-session
-            defer = self._warehouse_was_empty
-        # a bare-table warehouse (SchemaOptions(with_indexes=False)) has
-        # no indexes to defer and must not come out of the load with any
-        if defer and self.loader.options.with_indexes:
-            self._drop_indexes()
+        self.loader.write_lock.acquire()
+        try:
+            self._warehouse_was_empty = not self.loader.backend.execute(
+                "SELECT doc_id FROM documents LIMIT 1")
+            # a bare-table warehouse (SchemaOptions(with_indexes=False))
+            # has no indexes to defer and must not come out of the load
+            # with any
+            if self._warehouse_was_empty and \
+                    self.loader.options.with_indexes:
+                self._drop_indexes()
+        except BaseException:
+            self.loader.write_lock.release()
+            raise
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None:
-            self.flush()
-        else:
-            # complete batches stay committed; the partial one is
-            # discarded so a failed load never half-writes a batch
-            self._pending.clear()
-            self._pending_index.clear()
-            self._live = 0
-        # committed rows must come back indexed even after a failure
-        if self._indexes_dropped:
-            self._rebuild_indexes()
+        try:
+            if exc_type is not None:
+                self._rollback()
+                return
+            try:
+                self.flush()
+                self._delete_existing(sorted(self._removed))
+                self._write_snapshots()
+                if self._indexes_dropped:
+                    self._rebuild_indexes()
+                self.loader.backend.commit()
+            except BaseException:
+                self._rollback()
+                raise
+            self._finish()
+        finally:
+            self.loader.write_lock.release()
 
     # -- internals ----------------------------------------------------------
+
+    def _rollback(self) -> None:
+        self._clear_pending()
+        loader = self.loader
+        loader.backend.rollback()
+        # the rollback drops the session's rows, so the doc ids it
+        # reserved are free again (minidb keeps its flushed batches)
+        loader._next_doc_id = loader._load_max_doc_id() + 1
+        if self._indexes_dropped:
+            # the drops ran before the transaction began, so they
+            # survive the rollback and the index set must come back
+            self._rebuild_indexes()
+        self._finish()
+
+    def _finish(self) -> None:
+        if self.documents_loaded or self._removed:
+            self.loader.bump_generation()
+
+    def _drop_pending(self, key: tuple[str, str]) -> None:
+        earlier = self._pending_index.pop(key, None)
+        if earlier is not None:
+            self._pending[earlier] = None
+            self._live -= 1
+
+    def _clear_pending(self) -> None:
+        self._pending.clear()
+        self._pending_index.clear()
+        self._live = 0
+
+    def _write_snapshots(self) -> None:
+        backend = self.loader.backend
+        for source, snapshot in self._snapshots.items():
+            backend.execute(
+                "DELETE FROM hound_snapshots WHERE source = ?", (source,))
+            if snapshot is not None:
+                backend.execute(
+                    "INSERT INTO hound_snapshots "
+                    "(source, release_id, fingerprints) VALUES (?, ?, ?)",
+                    (source, *snapshot))
 
     def _drop_indexes(self) -> None:
         backend = self.loader.backend
         for name in _INDEX_NAMES:
             backend.execute(f"DROP INDEX IF EXISTS {name}")
-        backend.commit()
         self._indexes_dropped = True
 
     def _rebuild_indexes(self) -> None:
@@ -532,49 +484,23 @@ class BulkLoadSession:
         span_context = (tracer.span("index_rebuild")
                         if tracer is not None else nullcontext(None))
         with span_context:
-            for statement in CREATE_INDEXES:
+            # drop first: after a failed commit, sqlite has rolled an
+            # earlier rebuild back but minidb has kept it
+            for name, statement in zip(_INDEX_NAMES, CREATE_INDEXES):
+                backend.execute(f"DROP INDEX IF EXISTS {name}")
                 backend.execute(statement)
-            backend.commit()
         if metrics is not None:
             metrics.inc("load.index_rebuilds")
             metrics.observe("load.index_rebuild_seconds",
                             perf_counter() - start)
-        self._indexes_dropped = False
 
-    def _shred_job(self, source: str, transform: Callable) -> Callable:
-        loader = self.loader
-
-        def job(pair):
-            doc_id, item = pair
-            collection, entry_key, document = transform(item)
-            shredded = shred_document(
-                document, doc_id, source, collection, entry_key,
-                sequence_tags=loader.sequence_tags,
-                numeric_typing=loader.options.numeric_typing)
-            return entry_key, shredded
-
-        return job
-
-    def _buffer(self, source: str, entry_key: str,
-                shredded: ShreddedDocument) -> None:
-        key = (source, entry_key)
-        if self.upsert:
-            earlier = self._pending_index.pop(key, None)
-            if earlier is not None:
-                self._pending[earlier] = None
-                self._live -= 1
-            self._pending_index[key] = len(self._pending)
-        self._pending.append((key, shredded))
-        self._live += 1
-        self.documents_loaded += 1
-        if self._live >= self.batch_size:
-            self.flush()
-
-    def _delete_existing(self, backend: Backend,
-                         keys: list[tuple[str, str]]) -> None:
-        """Batched upsert delete: one IN-list lookup per chunk of entry
+    def _delete_existing(self, keys: list[tuple[str, str]]) -> None:
+        """Batched entry delete: one IN-list lookup per chunk of entry
         keys, then one IN-list DELETE per table per chunk of doomed
         doc ids — instead of seven statements per document."""
+        if not keys:
+            return
+        backend = self.loader.backend
         by_source: dict[str, list[str]] = {}
         for source, entry_key in keys:
             by_source.setdefault(source, []).append(entry_key)
@@ -584,12 +510,10 @@ class BulkLoadSession:
                 backend,
                 "SELECT doc_id FROM documents WHERE source = ? "
                 "AND entry_key IN ({placeholders})",
-                entry_keys, params=(source,), chunk=self._SQL_CHUNK)
+                entry_keys, params=(source,))
             doomed.extend(row[0] for row in rows)
-        if not doomed:
-            return
         for table in TABLE_NAMES:
             execute_in_chunks(
                 backend,
                 f"DELETE FROM {table} WHERE doc_id IN ({{placeholders}})",
-                doomed, chunk=self._SQL_CHUNK)
+                doomed)

@@ -242,10 +242,11 @@ class SubscriptionManager:
                 self._evaluations.pop(subscription.query_text, None)
                 self._eval_locks.pop(subscription.query_text, None)
             if subscription.persisted:
-                self.warehouse.backend.execute(
-                    "DELETE FROM standing_subscriptions WHERE sub_id = ?",
-                    (subscription_id,))
-                self.warehouse.backend.commit()
+                with self.warehouse.loader.write_lock:
+                    self.warehouse.backend.execute(
+                        "DELETE FROM standing_subscriptions "
+                        "WHERE sub_id = ?", (subscription_id,))
+                    self.warehouse.backend.commit()
             self._set_active()
             return True
 
@@ -310,23 +311,30 @@ class SubscriptionManager:
 
     # -- persistence --------------------------------------------------------
 
+    # Every write here takes the loader's write lock: the rows share
+    # the warehouse connection with bulk sessions (harvest rounds), and
+    # a commit or rollback mid-session would apply or discard the other
+    # writer's statements.
+
     def _ensure_table(self) -> None:
         backend = self.warehouse.backend
         try:
             backend.execute("SELECT COUNT(*) FROM standing_subscriptions")
         except StorageError:
-            backend.execute(_SUBSCRIPTIONS_DDL)
-            backend.commit()
+            with self.warehouse.loader.write_lock:
+                backend.execute(_SUBSCRIPTIONS_DDL)
+                backend.commit()
 
     def _persist(self, subscription: Subscription) -> None:
-        self.warehouse.backend.execute(
-            "INSERT INTO standing_subscriptions "
-            "(sub_id, query_text, policy, mode, created_at) "
-            "VALUES (?, ?, ?, ?, ?)",
-            (subscription.id, subscription.query_text,
-             subscription.policy, subscription.mode,
-             subscription.created_at))
-        self.warehouse.backend.commit()
+        with self.warehouse.loader.write_lock:
+            self.warehouse.backend.execute(
+                "INSERT INTO standing_subscriptions "
+                "(sub_id, query_text, policy, mode, created_at) "
+                "VALUES (?, ?, ?, ?, ?)",
+                (subscription.id, subscription.query_text,
+                 subscription.policy, subscription.mode,
+                 subscription.created_at))
+            self.warehouse.backend.commit()
 
     def _restore(self) -> None:
         rows = self.warehouse.backend.execute(

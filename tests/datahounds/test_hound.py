@@ -14,15 +14,35 @@ class RecordingStore:
     def __init__(self):
         self.documents = {}
         self.operations = []
+        self.snapshots = {}
 
-    def store_document(self, source, collection, entry_key, document):
+    def bulk_session(self):
+        return RecordingSession(self)
+
+
+class RecordingSession:
+    """A minimal bulk session: each operation applies as it is made."""
+
+    def __init__(self, store):
+        self.store = store
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return None
+
+    def add(self, source, collection, entry_key, document):
         assert isinstance(document, Document)
-        self.documents[(source, entry_key)] = (collection, document)
-        self.operations.append(("store", source, entry_key))
+        self.store.documents[(source, entry_key)] = (collection, document)
+        self.store.operations.append(("store", source, entry_key))
 
-    def remove_document(self, source, collection, entry_key):
-        self.documents.pop((source, entry_key), None)
-        self.operations.append(("remove", source, entry_key))
+    def remove(self, source, entry_key):
+        self.store.documents.pop((source, entry_key), None)
+        self.store.operations.append(("remove", source, entry_key))
+
+    def save_snapshot(self, source, release, fingerprints):
+        self.store.snapshots[source] = (release, dict(fingerprints))
 
 
 @pytest.fixture
@@ -316,15 +336,8 @@ class TestHarvestAll:
 
 
 class SnapshotStore(RecordingStore):
-    """A RecordingStore that also persists release snapshots (the
-    warehouse loader's crash-recovery surface)."""
-
-    def __init__(self):
-        super().__init__()
-        self.snapshots = {}
-
-    def save_snapshot(self, source, release, fingerprints):
-        self.snapshots[source] = (release, dict(fingerprints))
+    """A RecordingStore that also restores the release snapshots its
+    sessions saved (the warehouse loader's crash-recovery surface)."""
 
     def load_snapshots(self):
         return dict(self.snapshots)

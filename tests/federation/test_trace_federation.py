@@ -3,9 +3,8 @@ tree per request across the coordinator, the scatter-gather worker
 threads, and every shard warehouse's SQL.
 
 Regression anchor: ScatterGatherExecutor workers used to synthesize
-detached per-shard spans after the fact (and bulk-load worker spans
-started orphaned trees), so a trace of a federated query was a forest
-with no shard detail. Now workers open real spans parented under the
+detached per-shard spans after the fact, so a trace of a federated
+query was a forest with no shard detail. Now workers open real spans parented under the
 coordinator's ``federated_query`` span via the explicit cross-thread
 handoff, and shard warehouses share the coordinator's tracer.
 """
@@ -142,41 +141,3 @@ class TestSlowQueryAttribution:
             assert record.to_dict()["shard"] == "s0"
         finally:
             federation.close()
-
-
-class TestBulkLoadWorkerSpans:
-    def test_worker_shred_spans_attach_to_fanout(self, corpus):
-        """Regression: ``--workers`` shred spans became top-level
-        orphans (one disconnected root per document); they must nest
-        under the coordinating thread's ``shred_fanout`` span."""
-        from repro.engine import Warehouse
-        warehouse = Warehouse(trace=True, metrics=False)
-        try:
-            count = warehouse.load_text("hlx_enzyme",
-                                        corpus.enzyme_text, workers=3)
-            tracer = warehouse.tracer
-            fanout = tracer.last_span("shred_fanout")
-            assert fanout is not None
-            shreds = [span for span in fanout.children
-                      if span.name == "shred"]
-            assert len(shreds) == count
-            assert {span.trace_id for span in shreds} \
-                == {fanout.trace_id}
-            for span in shreds:
-                assert span.end is not None
-                assert span.parent_id == fanout.span_id
-            # no shred span escaped to the top level
-            for top in tracer.spans:
-                assert top.name != "shred"
-        finally:
-            warehouse.close()
-
-    def test_inline_load_unchanged(self, corpus):
-        """workers=0 keeps the inline path: no fan-out span at all."""
-        from repro.engine import Warehouse
-        warehouse = Warehouse(trace=True, metrics=False)
-        try:
-            warehouse.load_text("hlx_enzyme", corpus.enzyme_text)
-            assert warehouse.tracer.last_span("shred_fanout") is None
-        finally:
-            warehouse.close()

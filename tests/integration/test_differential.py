@@ -121,9 +121,9 @@ def both_stores(empty_warehouse, texts):
     """The same documents in the warehouse under test and in the
     native-XML evaluator."""
     store = NativeXmlStore()
-    empty_warehouse.loader.store_documents(
-        "src", "c", [(f"k{i}", parse_document(text))
-                     for i, text in enumerate(texts)])
+    with empty_warehouse.loader.bulk_session() as session:
+        for i, text in enumerate(texts):
+            session.add("src", "c", f"k{i}", parse_document(text))
     empty_warehouse.optimize()
     for i, text in enumerate(texts):
         store.add_document("src", "c", f"k{i}", parse_document(text))

@@ -7,7 +7,9 @@ import pytest
 
 from repro.datahounds import InMemoryRepository
 from repro.errors import TransformError, TransportError
+from repro.relational import CREATE_INDEXES
 from repro.xmlkit import parse_document
+from tests.shredding.test_bulk_load import secondary_indexes
 
 GOOD = ("ID   1.1.1.1\nDE   alcohol dehydrogenase.\n//\n"
         "ID   1.1.1.2\nDE   another enzyme.\n//\n")
@@ -93,15 +95,19 @@ class TestBulkSessionRollback:
         return parse_document(f"<r><v>{index}</v></r>")
 
     def test_partial_batch_discarded_on_failure(self, empty_warehouse):
-        """Complete batches stay committed, the in-flight partial batch
-        is discarded — a failed load never half-writes a batch."""
+        """A session is one transaction: flushed batches are rolled
+        back with the in-flight partial one, so a failed load writes
+        nothing. minidb is non-atomic (``rollback`` is a documented
+        no-op), so its flushed batches stay and only the partial one
+        is discarded."""
         loader = empty_warehouse.loader
         with pytest.raises(RuntimeError):
             with loader.bulk_session(batch_size=2) as session:
                 for index in range(5):     # flushes at 2 and 4
                     session.add("db", "c", f"k{index}", self.doc(index))
                 raise RuntimeError("simulated store failure")
-        assert loader.document_count("db") == 4
+        expected = {"sqlite": 0, "minidb": 4}[loader.backend.name]
+        assert loader.document_count("db") == expected
         assert session.flushes == 2
 
     def test_failure_before_first_flush_writes_nothing(
@@ -115,14 +121,20 @@ class TestBulkSessionRollback:
 
     def test_committed_rows_are_indexed_after_failure(
             self, empty_warehouse):
-        """Deferred indexes must be rebuilt even when the session block
-        raises, so the committed batches stay queryable."""
+        """A load into an empty warehouse defers its indexes; when the
+        session block raises they must all come back. On sqlite the
+        rollback leaves no rows; minidb is non-atomic, so its flushed
+        row stays and must be queryable through the rebuilt indexes."""
         loader = empty_warehouse.loader
         with pytest.raises(RuntimeError):
-            with loader.bulk_session(batch_size=1,
-                                     defer_indexes=True) as session:
-                session.add("db", "c", "k0", self.doc(0))
+            with loader.bulk_session(batch_size=1) as session:
+                session.add("db", "c", "k0", self.doc(0))  # flushed
                 raise RuntimeError("boom")
+        backend = empty_warehouse.backend
+        assert len(secondary_indexes(backend)) == len(CREATE_INDEXES)
+        if backend.name == "sqlite":
+            assert loader.document_count() == 0
+            return
         empty_warehouse.optimize()
         result = empty_warehouse.query(
             'FOR $e IN document("db.c")/r RETURN $e/v')

@@ -63,8 +63,11 @@ class TestTracerUnit:
 
 class TestTracerThreadSafety:
     """Regression: the open-span stack was one shared list, so spans
-    opened by bulk-load worker threads nested under whatever the main
-    thread had open (or popped the wrong frame entirely)."""
+    opened by worker threads nested under whatever the main thread had
+    open (or popped the wrong frame entirely). Cross-thread parenting
+    through the federation scatter pool is covered end to end by
+    ``test_trace_federation::TestFederatedQueryTrace::
+    test_single_tree_with_shard_subqueries``."""
 
     def test_concurrent_spans_never_cross_threads(self):
         import threading
@@ -99,22 +102,6 @@ class TestTracerThreadSafety:
             # children belong to the same worker as their parent
             (child,) = span.children
             assert child.name.split("-")[1] == span.name.split("-")[1]
-
-    def test_concurrent_bulk_load_with_workers_keeps_spans_sane(self):
-        """End to end: a traced warehouse loading with worker threads
-        must produce a well-formed span forest (no span parented under
-        another thread's open span, no negative durations)."""
-        from repro.synth import build_corpus
-
-        corpus = build_corpus(seed=11, enzyme_count=20, embl_count=20,
-                              sprot_count=10)
-        warehouse = Warehouse(trace=True, metrics=False, bulk_workers=3)
-        warehouse.load_corpus(corpus)
-        warehouse.tracer.finish()
-        for span in warehouse.tracer.spans:
-            for node in span.walk():
-                assert node.end is not None
-                assert node.end >= node.start
 
 
 class TestUntrackedSpanClose:

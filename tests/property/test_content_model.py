@@ -1,9 +1,9 @@
 """Property-based test: the compiled content-model matcher accepts exactly
 the child sequences that the textbook regular expression of the model
-accepts. ``re`` backtracks, which is harmless at these lengths, so it
-serves as the oracle here."""
-
-import re
+accepts. The oracle evaluates that expression directly over sets of end
+positions. ``re`` is no oracle here: nested stars over nullable groups,
+such as ``((a?)*)*``, make its backtracking exponential, and some
+generated models ran for minutes on eight-tag sequences."""
 
 from hypothesis import given, settings, strategies as st
 
@@ -25,15 +25,42 @@ particles = st.one_of(names, groups(names), groups(groups(names)),
                       groups(groups(groups(names))))
 
 
-def to_regex(p: Particle) -> str:
-    suffix = "" if p.occurs == "1" else p.occurs
-    if isinstance(p, Name):
-        return p.tag + suffix
-    if isinstance(p, Seq):
-        return "(?:" + "".join(map(to_regex, p.items)) + ")" + suffix
-    if not p.items:
-        return "(?!)" + suffix       # an empty choice matches nothing
-    return "(?:" + "|".join(map(to_regex, p.items)) + ")" + suffix
+def regex_accepts(particle: Particle, tags: list[str]) -> bool:
+    """Whether the regular expression of ``particle`` matches the whole
+    of ``tags``. ``ends(p, i)`` is the set of positions where a match
+    of ``p`` starting at ``i`` can end, memoized per (particle, start),
+    so nesting costs nothing extra."""
+    memo: dict[tuple[int, int], frozenset[int]] = {}
+
+    def once(p: Particle, i: int) -> set[int]:
+        if isinstance(p, Name):
+            return {i + 1} if i < len(tags) and tags[i] == p.tag else set()
+        if isinstance(p, Seq):
+            reached = {i}
+            for item in p.items:
+                reached = {end for j in reached for end in ends(item, j)}
+            return reached
+        # an empty choice matches nothing
+        return {end for item in p.items for end in ends(item, i)}
+
+    def ends(p: Particle, i: int) -> frozenset[int]:
+        key = (id(p), i)
+        if key not in memo:
+            if p.occurs == "1":
+                reached = once(p, i)
+            elif p.occurs == "?":
+                reached = {i} | once(p, i)
+            else:
+                reached = {i} if p.occurs == "*" else once(p, i)
+                frontier = set(reached)
+                while frontier:
+                    frontier = {end for j in frontier
+                                for end in once(p, j)} - reached
+                    reached |= frontier
+            memo[key] = frozenset(reached)
+        return memo[key]
+
+    return len(tags) in ends(particle, 0)
 
 
 @settings(max_examples=400, deadline=None)
@@ -41,7 +68,6 @@ def to_regex(p: Particle) -> str:
                            min_size=1, max_size=6))
 def test_matcher_agrees_with_regex_oracle(particle, sequences):
     automaton = _ContentAutomaton(particle)
-    pattern = re.compile(to_regex(particle))
     for tags in sequences:
-        expected = pattern.fullmatch("".join(tags)) is not None
+        expected = regex_accepts(particle, tags)
         assert automaton.matches(tags) == expected, (str(particle), tags)

@@ -70,10 +70,26 @@ class TestRemoveSource:
         for table in TABLE_NAMES:
             assert stats[table] == 0, f"{table} left {stats[table]} rows"
 
-    def test_remove_source_chunks_batched_deletes(self, warehouse):
+    def test_remove_source_chunks_batched_deletes(self, warehouse,
+                                                  monkeypatch):
         """Chunked IN-lists: force multiple chunks per table."""
-        warehouse._REMOVE_CHUNK = 3
+        from repro.relational.schema import TABLE_NAMES
+        from repro.shredding import loader
+        monkeypatch.setattr(loader, "_IN_CHUNK", 3)
+        backend = warehouse.loader.backend
+        execute = backend.execute
+        deletes: dict[str, int] = {}
+
+        def counting(sql, params=()):
+            if sql.startswith("DELETE FROM ") and " IN (" in sql:
+                table = sql.split()[2]
+                deletes[table] = deletes.get(table, 0) + 1
+            return execute(sql, params)
+
+        monkeypatch.setattr(backend, "execute", counting)
         removed = warehouse.remove_source("hlx_enzyme")
         assert removed > 3
+        assert set(deletes) == set(TABLE_NAMES)
+        assert all(count > 1 for count in deletes.values()), deletes
         assert not warehouse.document_exists("hlx_enzyme", None)
         assert warehouse.stats()["documents"] > 0  # others intact

@@ -72,13 +72,6 @@ class TestBulkLoadSession:
         values = backend.execute("SELECT value FROM text_values")
         assert ("second",) in values
 
-    def test_no_upsert_mode_skips_existing_lookup(self, backend):
-        loader = WarehouseLoader(backend)
-        with loader.bulk_session(batch_size=4, upsert=False) as session:
-            session.add("s", "c", "a", doc("1"))
-            session.add("s", "c", "b", doc("2"))
-        assert loader.document_count("s") == 2
-
     def test_exception_discards_partial_batch(self, backend):
         loader = WarehouseLoader(backend)
         with pytest.raises(RuntimeError):
@@ -88,13 +81,18 @@ class TestBulkLoadSession:
         assert loader.document_count("s") == 0
 
     def test_exception_keeps_completed_batches(self, backend):
+        """Flushed batches are not committed: a failed session rolls
+        them back. minidb has no transactions (its ``rollback`` is a
+        documented no-op), so there they stay."""
         loader = WarehouseLoader(backend)
         with pytest.raises(RuntimeError):
             with loader.bulk_session(batch_size=1) as session:
                 session.add("s", "c", "a", doc("1"))  # flushed
                 session.add("s", "c", "b", doc("2"))  # flushed
                 raise RuntimeError("boom")
-        assert loader.document_count("s") == 2
+        assert session.flushes == 2
+        expected = {"sqlite": 0, "minidb": 2}[backend.name]
+        assert loader.document_count("s") == expected
 
     def test_flush_bumps_generation(self, backend):
         loader = WarehouseLoader(backend)
@@ -124,26 +122,52 @@ class TestBulkLoadSession:
         assert count == 5
         assert loader.document_count("s") == 5
 
-    def test_add_transformed_parallel_matches_serial(self, backend):
-        items = [("c", f"k{i}", doc(f"value {i}")) for i in range(12)]
+    def test_remove_matches_any_collection(self, backend):
+        loader = WarehouseLoader(backend)
+        loader.store_document("s", "inv", "a", doc("1"))
+        loader.store_document("s", "hum", "b", doc("2"))
+        with loader.bulk_session() as session:
+            session.remove("s", "a")
+            session.remove("s", "missing")
+        assert loader.doc_ids("s", "inv") == []
+        assert loader.document_count("s") == 1
 
-        def load(workers):
-            loader = WarehouseLoader(self_backend())
-            with loader.bulk_session(batch_size=5,
-                                     workers=workers) as session:
-                session.add_transformed("s", items, lambda item: item)
-            rows = sorted(loader.backend.execute(
-                "SELECT doc_id, node_id, value FROM text_values"))
-            loader_docs = loader.backend.execute(
-                "SELECT doc_id, entry_key FROM documents ORDER BY doc_id")
-            return rows, loader_docs
+    def test_remove_and_add_apply_in_call_order(self, backend):
+        loader = WarehouseLoader(backend)
+        loader.store_document("s", "c", "kept", doc("old"))
+        loader.store_document("s", "c", "gone", doc("old"))
+        with loader.bulk_session(batch_size=1) as session:
+            session.remove("s", "kept")
+            session.add("s", "c", "kept", doc("new"))     # re-added
+            session.add("s", "c", "gone", doc("new"))     # flushed...
+            session.remove("s", "gone")                   # ...then gone
+        assert loader.document_count("s") == 1
+        values = backend.execute("SELECT value FROM text_values")
+        assert values == [("new",)]
 
-        def self_backend():
-            return type(backend)()
+    def test_snapshot_commits_with_the_rows(self, backend):
+        loader = WarehouseLoader(backend)
+        loader.save_snapshot("gone", "r0", {})
+        with loader.bulk_session() as session:
+            session.add("s", "c", "k", doc("x"))
+            session.save_snapshot("s", "r1", {"k": "f1"})
+            session.delete_snapshot("gone")
+        assert loader.load_snapshots() == {"s": ("r1", {"k": "f1"})}
 
-        serial = load(0)
-        parallel = load(3)
-        assert serial == parallel
+    def test_one_commit_per_session(self, backend):
+        commits = []
+        real_commit = backend.commit
+        backend.commit = lambda: commits.append(1) or real_commit()
+        loader = WarehouseLoader(backend)
+        loader.store_document("s", "c", "seed", doc("x"))
+        commits.clear()
+        with loader.bulk_session(batch_size=2) as session:
+            for i in range(5):
+                session.add("s", "c", f"k{i}", doc(str(i)))
+            session.remove("s", "seed")
+            session.save_snapshot("s", "r1", {})
+        assert session.flushes == 3
+        assert len(commits) == 1
 
 
 def secondary_indexes(backend) -> set[str]:
@@ -183,9 +207,21 @@ class TestLoaderGeneration:
         g2 = loader.generation
         assert g0 < g1 < g2
 
-    def test_store_documents_uses_bulk_path(self, backend):
+    def test_snapshot_only_session_keeps_generation(self, backend):
+        """Only sessions that store or remove documents invalidate
+        compiled queries; saving a snapshot changes no answer."""
         loader = WarehouseLoader(backend)
-        count = loader.store_documents(
-            "s", "c", [("a", doc("1")), ("b", doc("2"))])
-        assert count == 2
-        assert loader.document_count("s") == 2
+        g0 = loader.generation
+        loader.save_snapshot("s", "r1", {})
+        assert loader.generation == g0
+
+    def test_failed_session_bumps_generation(self, backend):
+        """Readers on the writer's connection may have compiled
+        against flushed rows the rollback removes."""
+        loader = WarehouseLoader(backend)
+        g0 = loader.generation
+        with pytest.raises(RuntimeError):
+            with loader.bulk_session(batch_size=1) as session:
+                session.add("s", "c", "k", doc("x"))
+                raise RuntimeError("boom")
+        assert loader.generation > g0

@@ -52,13 +52,6 @@ class TestStoreAndRemove:
         assert len(loader.doc_ids("s")) == 2
         assert len(loader.doc_ids("s", "inv")) == 1
 
-    def test_bulk_store_documents(self, backend):
-        loader = WarehouseLoader(backend)
-        count = loader.store_documents(
-            "s", "c", [("a", doc("1")), ("b", doc("2"))])
-        assert count == 2
-        assert loader.document_count("s") == 2
-
     def test_doc_id_continues_after_reattach(self, backend):
         loader = WarehouseLoader(backend)
         loader.store_document("s", "c", "a", doc("1"))
