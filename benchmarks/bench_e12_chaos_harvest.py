@@ -93,7 +93,7 @@ def resilient(repo, warehouse):
         repo, policy=RetryPolicy(max_attempts=8, base_delay_s=0.0,
                                  jitter=0.0),
         breaker_threshold=50, sleep=lambda s: None,
-        metrics=warehouse._metrics_sink, events=warehouse.events)
+        metrics=warehouse.metrics, events=warehouse.events)
 
 
 def test_e12_fault_free_baseline(benchmark, mirror_texts, baseline_state):

@@ -78,8 +78,10 @@ def test_e2_translation_cache_hit_cost(benchmark, sqlite_warehouse):
     warehouse.query(FIG8)  # prime the cache
 
     def hit():
-        compiled, was_hit = warehouse.xomatiq.translate_cached(FIG8)
-        assert was_hit
+        compiled = warehouse.xomatiq.cache.get(
+            FIG8, warehouse.backend.name, warehouse.sequence_tags,
+            warehouse.loader.generation)
+        assert compiled is not None
         return compiled
 
     benchmark(hit)

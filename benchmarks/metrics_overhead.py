@@ -106,12 +106,12 @@ def build_subscription_arm(instrumented: bool):
     steady-state. Both arms run over a metrics-instrumented warehouse;
     ``instrumented`` toggles only the evaluation's own emission."""
     from repro.datahounds.triggers import ChangeEvent
-    from repro.obs import MetricsRegistry
+    from repro.obs import MetricsRegistry, NullMetrics
     from repro.subscriptions import StandingEvaluation
     warehouse = build_warehouse(metrics=MetricsRegistry())
     evaluation = StandingEvaluation(warehouse, SUBSCRIPTION_QUERY)
     if not instrumented:
-        evaluation._metrics = None
+        evaluation._metrics = NullMetrics()
     evaluation.refresh_full()
     keys = [key for (key,) in warehouse.backend.execute(
         "SELECT entry_key FROM documents WHERE source = 'hlx_enzyme' "

@@ -62,7 +62,8 @@ def profile_smoke(out: Path) -> int:
         warehouse.load_corpus(corpus)
         # fig8 runs twice: the repeat is served by the compiled-query
         # cache, so its profile shows the cache.hit counter and no
-        # parse/check/compile stages
+        # parse/check/compile/execute stages (its SQL statements hang
+        # off the root span, as in any traced cache hit)
         for label, query in (("fig8", FIG8), ("fig8-repeat", FIG8),
                              ("fig11", FIG11)):
             report = warehouse.profile(query)

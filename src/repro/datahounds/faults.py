@@ -28,19 +28,20 @@ checksum (``ResilientRepository``) catches them.
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass
 
 from repro.datahounds.transport import FetchResult, _record_fetch_error
 from repro.errors import TransportError
+from repro.obs.metrics import resolve_metrics
+from repro.resilience import FaultRates, FaultSchedule
 
 #: every fault kind a plan can inject (``ok`` = no fault)
 FAULT_KINDS = ("transient", "stall", "truncate", "corrupt")
 
 
 @dataclass
-class FaultSpec:
+class FaultSpec(FaultRates):
     """Per-source fault configuration.
 
     ``script`` is consumed first — an explicit outcome per fetch
@@ -50,6 +51,8 @@ class FaultSpec:
     transient, truncate, corrupt, stall and must sum to <= 1.
     """
 
+    RATE_ORDER = ("transient", "truncate", "corrupt", "stall")
+
     transient_rate: float = 0.0
     truncate_rate: float = 0.0
     corrupt_rate: float = 0.0
@@ -58,33 +61,10 @@ class FaultSpec:
     stall_s: float = 0.05
     script: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        total = (self.transient_rate + self.truncate_rate
-                 + self.corrupt_rate + self.stall_rate)
-        if total > 1.0 + 1e-9:
-            raise ValueError(f"fault rates sum to {total}, must be <= 1")
-        for kind in self.script:
-            if kind not in FAULT_KINDS and kind != "ok":
-                raise ValueError(f"unknown scripted fault {kind!r}")
 
-
-class FaultPlan:
-    """Seedable, per-source fault schedule.
-
-    One RNG per source (seeded from ``(seed, source)``) keeps the fault
-    sequence of each source independent of how fetches interleave
-    across sources — harvesting sources in a different order replays
-    identical per-source faults. :meth:`reset` re-arms scripts and
-    RNGs so the same plan object can drive a byte-identical second run.
-    """
-
-    def __init__(self, seed: int = 0):
-        self.seed = seed
-        self._specs: dict[str, FaultSpec] = {}
-        self._cursors: dict[str, int] = {}
-        self._rngs: dict[str, random.Random] = {}
-        #: injected fault counts: (source, kind) -> count
-        self.injected: dict[tuple[str, str], int] = {}
+class FaultPlan(FaultSchedule):
+    """Seedable, per-source fault schedule (a :class:`FaultSchedule`
+    keyed by source name)."""
 
     def add_source(self, source: str = "*", **spec_kwargs) -> "FaultPlan":
         """Configure faults for one source (``"*"`` = any source
@@ -97,54 +77,6 @@ class FaultPlan:
         """Script ``failures`` consecutive faults, then clean fetches."""
         self._specs[source] = FaultSpec(script=(kind,) * failures)
         return self
-
-    def spec_for(self, source: str) -> FaultSpec | None:
-        """The spec governing one source (wildcard fallback)."""
-        spec = self._specs.get(source)
-        return spec if spec is not None else self._specs.get("*")
-
-    def next_outcome(self, source: str) -> str:
-        """The fault (or ``"ok"``) for this source's next fetch."""
-        spec = self.spec_for(source)
-        if spec is None:
-            return "ok"
-        cursor = self._cursors.get(source, 0)
-        if cursor < len(spec.script):
-            self._cursors[source] = cursor + 1
-            outcome = spec.script[cursor]
-        else:
-            roll = self._rng(source).random()
-            outcome = "ok"
-            threshold = 0.0
-            for kind, rate in (("transient", spec.transient_rate),
-                               ("truncate", spec.truncate_rate),
-                               ("corrupt", spec.corrupt_rate),
-                               ("stall", spec.stall_rate)):
-                threshold += rate
-                if roll < threshold:
-                    outcome = kind
-                    break
-        if outcome != "ok":
-            key = (source, outcome)
-            self.injected[key] = self.injected.get(key, 0) + 1
-        return outcome
-
-    def reset(self) -> None:
-        """Re-arm every script and RNG (identical replay)."""
-        self._cursors.clear()
-        self._rngs.clear()
-        self.injected.clear()
-
-    def injected_total(self) -> int:
-        """Total faults injected since construction/reset."""
-        return sum(self.injected.values())
-
-    def _rng(self, source: str) -> random.Random:
-        rng = self._rngs.get(source)
-        if rng is None:
-            rng = self._rngs[source] = random.Random(
-                f"{self.seed}:{source}")
-        return rng
 
 
 @dataclass
@@ -162,8 +94,13 @@ class FaultInjectingRepository:
     plan: FaultPlan
     #: injectable sleep for ``stall`` faults (tests pass a recorder)
     sleep: object = time.sleep
+    #: ``None`` records into the process-wide registry, like the
+    #: transports it wraps
     metrics: object = None
     events: object = None
+
+    def __post_init__(self):
+        self.metrics = resolve_metrics(self.metrics)
 
     def fetch(self, source: str, release: str | None = None) -> FetchResult:
         """Fetch through the fault plan."""
@@ -212,9 +149,8 @@ class FaultInjectingRepository:
         return advertise(source, release) if advertise else None
 
     def _note(self, source: str, outcome: str) -> None:
-        if self.metrics is not None:
-            self.metrics.inc("transport.faults_injected",
-                             source=source, kind=outcome)
+        self.metrics.inc("transport.faults_injected", source=source,
+                         kind=outcome)
         if self.events is not None:
             self.events.emit("transport.fault_injected", severity="debug",
                              source=source, kind=outcome)

@@ -20,7 +20,6 @@ lives in the registered transformer.
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Protocol
@@ -31,6 +30,8 @@ from repro.datahounds.triggers import ChangeEvent, TriggerHub
 from repro.datahounds.updates import ReleaseSnapshot, UpdatePlan, diff_releases
 from repro.errors import DataHoundsError, ReproError
 from repro.flatfile import Entry, parse_entries
+from repro.obs.metrics import NULL_METRICS
+from repro.obs.trace import NULL_TRACER
 from repro.xmlkit import Document
 
 
@@ -131,7 +132,7 @@ class DataHound:
                  registry: SourceRegistry | None = None,
                  validate: bool = True,
                  quarantine: bool = False,
-                 tracer=None, metrics=None, events=None,
+                 tracer=NULL_TRACER, metrics=NULL_METRICS, events=None,
                  triggers: TriggerHub | None = None):
         self.repository = repository
         self.store = store
@@ -142,12 +143,12 @@ class DataHound:
         #: strict all-or-nothing ("without any information being left
         #: out or added twice")
         self.quarantine = quarantine
-        #: optional :class:`repro.obs.Tracer`; loads then run inside
-        #: per-phase spans (fetch, diff, transform, store) with
-        #: entries/s throughput recorded on the load span
+        #: :class:`repro.obs.Tracer`; loads run inside per-phase spans
+        #: (fetch, diff, transform, store) with entries/s throughput
+        #: recorded on the load span
         self.tracer = tracer
-        #: optional :class:`repro.obs.MetricsRegistry`; harvests then
-        #: feed ``hound.*`` counters/gauges (load counts, entry deltas,
+        #: :class:`repro.obs.MetricsRegistry`; harvests feed
+        #: ``hound.*`` counters/gauges (load counts, entry deltas,
         #: per-source last-harvest timestamp read by the health report)
         self.metrics = metrics
         #: optional :class:`repro.obs.EventLog`; each load emits one
@@ -182,15 +183,15 @@ class DataHound:
         """
         transformer = self._transformer(source)
         start = perf_counter()
-        with self._span("load", source=source) as load_span:
-            with self._span("fetch"):
+        with self.tracer.span("load", source=source) as load_span:
+            with self.tracer.span("fetch"):
                 fetched = self.repository.fetch(source, release)
                 entries = parse_entries(fetched.text)
             keyed = [(transformer.entry_key(entry), entry)
                      for entry in entries]
             self._check_duplicate_keys(source, keyed)
 
-            with self._span("diff"):
+            with self.tracer.span("diff"):
                 new_snapshot = ReleaseSnapshot.build(fetched.release, keyed)
                 plan = diff_releases(self._snapshots.get(source),
                                      new_snapshot)
@@ -205,7 +206,7 @@ class DataHound:
             entry_map = dict(keyed)
             staged: list[tuple[str, str, Document]] = []
             quarantined: list[str] = []
-            with self._span("transform"):
+            with self.tracer.span("transform"):
                 for key in plan.touched:
                     entry = entry_map[key]
                     try:
@@ -235,7 +236,7 @@ class DataHound:
 
             # the round is one transaction: upserts, removals and the
             # snapshot commit together or, on failure, not at all
-            with self._span("store") as store_span:
+            with self.tracer.span("store") as store_span:
                 with self.store.bulk_session() as session:
                     for key, collection, document in staged:
                         session.add(source, collection, key, document)
@@ -248,16 +249,15 @@ class DataHound:
 
             optimize = getattr(self.store, "optimize", None)
             if optimize is not None and not plan.is_noop:
-                with self._span("optimize"):
+                with self.tracer.span("optimize"):
                     optimize()
 
-            if load_span is not None:
-                load_span.count("entries", len(keyed))
-                load_span.count("loaded", loaded)
-                load_span.count("removed", len(plan.removed))
-                if store_span is not None and store_span.duration_s > 0:
-                    load_span.meta["entries_per_s"] = round(
-                        loaded / store_span.duration_s, 2)
+            load_span.count("entries", len(keyed))
+            load_span.count("loaded", loaded)
+            load_span.count("removed", len(plan.removed))
+            if store_span.duration_s > 0:
+                load_span.meta["entries_per_s"] = round(
+                    loaded / store_span.duration_s, 2)
 
         self._record_load(source, fetched.release, plan, loaded,
                           perf_counter() - start)
@@ -274,8 +274,7 @@ class DataHound:
                 updated=tuple(k for k in plan.updated
                               if k not in quarantined_set),
                 removed=plan.removed,
-                trace_id=(load_span.trace_id
-                          if load_span is not None else ""))
+                trace_id=load_span.trace_id)
             fired = self.triggers.fire(event)
         return LoadReport(source=source, release=fetched.release, plan=plan,
                           documents_loaded=loaded, triggers_fired=fired,
@@ -311,9 +310,7 @@ class DataHound:
                 report.failures[source] = SourceFailure(
                     source=source, error=str(exc),
                     error_type=type(exc).__name__)
-                if self.metrics is not None:
-                    self.metrics.inc("hound.harvest_failures",
-                                     source=source)
+                self.metrics.inc("hound.harvest_failures", source=source)
                 if self.events is not None:
                     self.events.emit("hound.harvest_error",
                                      severity="error", source=source,
@@ -340,20 +337,18 @@ class DataHound:
     def _record_load(self, source: str, release: str, plan: UpdatePlan,
                      loaded: int, duration_s: float) -> None:
         """Always-on harvest metrics + one ``hound.load`` event."""
-        if self.metrics is not None:
-            metrics = self.metrics
-            metrics.inc("hound.loads", source=source)
-            metrics.observe("hound.load_seconds", duration_s)
-            metrics.inc("hound.entries_added", len(plan.added),
-                        source=source)
-            metrics.inc("hound.entries_updated", len(plan.updated),
-                        source=source)
-            metrics.inc("hound.entries_removed", len(plan.removed),
-                        source=source)
-            metrics.inc("hound.entries_unchanged", len(plan.unchanged),
-                        source=source)
-            metrics.set_gauge("hound.last_harvest_timestamp", time.time(),
-                              source=source)
+        metrics = self.metrics
+        metrics.inc("hound.loads", source=source)
+        metrics.observe("hound.load_seconds", duration_s)
+        metrics.inc("hound.entries_added", len(plan.added), source=source)
+        metrics.inc("hound.entries_updated", len(plan.updated),
+                    source=source)
+        metrics.inc("hound.entries_removed", len(plan.removed),
+                    source=source)
+        metrics.inc("hound.entries_unchanged", len(plan.unchanged),
+                    source=source)
+        metrics.set_gauge("hound.last_harvest_timestamp", time.time(),
+                          source=source)
         if self.events is not None:
             self.events.emit(
                 "hound.load", source=source, release=release,
@@ -365,19 +360,12 @@ class DataHound:
     def _record_quarantine(self, source: str, release: str, key: str,
                            exc: Exception) -> None:
         """One malformed entry skipped by quarantine mode."""
-        if self.metrics is not None:
-            self.metrics.inc("hound.entries_quarantined", source=source)
+        self.metrics.inc("hound.entries_quarantined", source=source)
         if self.events is not None:
             self.events.emit("hound.quarantine", severity="warning",
                              source=source, release=release, entry_key=key,
                              error_type=type(exc).__name__,
                              error=str(exc))
-
-    def _span(self, name: str, **meta):
-        """A tracer span, or an inert context when tracing is off."""
-        if self.tracer is None:
-            return nullcontext(None)
-        return self.tracer.span(name, **meta)
 
     def _transformer(self, source: str) -> SourceTransformer:
         if source not in self._transformers:

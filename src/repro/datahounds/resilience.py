@@ -34,6 +34,7 @@ import time
 
 from repro.datahounds.transport import FetchResult, _record_fetch_error
 from repro.errors import CircuitOpenError, PayloadIntegrityError, TransportError
+from repro.obs.metrics import resolve_metrics
 from repro.resilience import OPEN, CircuitBreaker, RetryPolicy
 
 
@@ -44,7 +45,9 @@ class ResilientRepository:
     breakers are created lazily. The wrapper is transparent on the
     read-only surface, so a :class:`~repro.datahounds.hound.DataHound`
     (or anything speaking the Repository protocol) can use it as a
-    drop-in replacement for the raw transport.
+    drop-in replacement for the raw transport. ``metrics`` follows the
+    transports' convention: ``None`` records into the process-wide
+    registry, ``False`` records nothing.
     """
 
     def __init__(self, inner, policy: RetryPolicy | None = None,
@@ -60,7 +63,7 @@ class ResilientRepository:
         self.verify_integrity = verify_integrity
         self.sleep = sleep
         self.clock = clock
-        self.metrics = metrics
+        self.metrics = resolve_metrics(metrics)
         self.events = events
         self._breakers: dict[str, CircuitBreaker] = {}
 
@@ -97,8 +100,7 @@ class ResilientRepository:
                         f"{source}: fetch failed after {attempt} "
                         f"attempt(s): {exc}") from exc
                 delay = policy.delay_for(attempt, source)
-                if self.metrics is not None:
-                    self.metrics.inc("transport.retries", source=source)
+                self.metrics.inc("transport.retries", source=source)
                 if self.events is not None:
                     self.events.emit(
                         "transport.retry", source=source, attempt=attempt,
@@ -171,9 +173,7 @@ class ResilientRepository:
         actual = result.checksum
         if actual != expected:
             _record_fetch_error(self.metrics, source)
-            if self.metrics is not None:
-                self.metrics.inc("transport.integrity_failures",
-                                 source=source)
+            self.metrics.inc("transport.integrity_failures", source=source)
             raise PayloadIntegrityError(
                 f"{source}/{result.release}: payload checksum {actual} "
                 f"does not match advertised {expected} "

@@ -24,7 +24,7 @@ from pathlib import Path
 from time import perf_counter
 
 from repro.errors import TransportError
-from repro.obs.metrics import SIZE_BUCKETS, default_registry
+from repro.obs.metrics import SIZE_BUCKETS, resolve_metrics
 
 
 def content_checksum(text: str) -> str:
@@ -36,8 +36,6 @@ def content_checksum(text: str) -> str:
 def _record_fetch(metrics, source: str, text: str,
                   duration_s: float) -> None:
     """Always-on transport metrics: fetch counts, bytes, latency."""
-    if metrics is None:
-        metrics = default_registry()
     size = len(text.encode("utf-8"))
     metrics.inc("transport.fetches", source=source)
     metrics.inc("transport.fetch_bytes", size, source=source)
@@ -49,8 +47,6 @@ def _record_fetch(metrics, source: str, text: str,
 def _record_fetch_error(metrics, source: str) -> None:
     """Always-on failure-path counter — a fetch that raises must be as
     visible as one that succeeds, or retry storms look like silence."""
-    if metrics is None:
-        metrics = default_registry()
     metrics.inc("transport.fetch_errors", source=source)
 
 
@@ -76,13 +72,14 @@ class InMemoryRepository:
     Release ids sort lexicographically; the latest release is the
     greatest id (use e.g. ``r2026-01``-style names).
 
-    ``metrics`` defaults to the process-wide registry; fetches record
-    count/bytes/latency either way.
+    ``metrics`` follows :class:`~repro.engine.Warehouse`: ``None`` (the
+    default) records fetch count/bytes/latency into the process-wide
+    registry, ``False`` records nothing, a registry records there.
     """
 
     def __init__(self, metrics=None):
         self._releases: dict[str, dict[str, str]] = {}
-        self.metrics = metrics
+        self.metrics = resolve_metrics(metrics)
 
     def publish(self, source: str, release: str, text: str) -> None:
         """Publish (or overwrite) a release of a source."""
@@ -140,7 +137,7 @@ class DirectoryRepository:
 
     def __init__(self, base: str | Path, metrics=None):
         self.base = Path(base)
-        self.metrics = metrics
+        self.metrics = resolve_metrics(metrics)
 
     def publish(self, source: str, release: str, text: str) -> Path:
         """Write one release file plus its ``<release>.sha`` checksum

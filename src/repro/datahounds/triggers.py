@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Callable
 
+from repro.obs.metrics import NULL_METRICS
+
 
 @dataclass(frozen=True)
 class ChangeEvent:
@@ -54,8 +56,8 @@ class TriggerHub:
     """Subscription registry + dispatch.
 
     Instance counters (``events_fired`` / ``deliveries`` /
-    ``failed_deliveries``) always track dispatch; with a
-    :class:`repro.obs.MetricsRegistry` attached, fires also land in the
+    ``failed_deliveries``) always track dispatch; with a live
+    :class:`repro.obs.MetricsRegistry`, fires also land in the
     always-on ``triggers.*`` metrics (event counts per source,
     deliveries, per-callback delivery latency, failures).
 
@@ -68,7 +70,7 @@ class TriggerHub:
     """
 
     _subscribers: dict[str, list[TriggerCallback]] = field(default_factory=dict)
-    metrics: object = None
+    metrics: object = NULL_METRICS
     #: optional :class:`repro.obs.EventLog` — failed deliveries land
     #: here with the callback's error, severity ``error``
     events: object = None
@@ -102,17 +104,15 @@ class TriggerHub:
         callbacks = (self._subscribers.get(event.source, [])
                      + self._subscribers.get(_ALL_SOURCES, []))
         self.events_fired += 1
-        if self.metrics is not None:
-            self.metrics.inc("triggers.events", source=event.source)
+        self.metrics.inc("triggers.events", source=event.source)
         for callback in list(callbacks):
             start = perf_counter()
             try:
                 callback(event)
             except Exception as exc:   # noqa: BLE001 - isolation is the point
                 self.failed_deliveries += 1
-                if self.metrics is not None:
-                    self.metrics.inc("triggers.delivery_failed",
-                                     source=event.source)
+                self.metrics.inc("triggers.delivery_failed",
+                                 source=event.source)
                 if self.events is not None:
                     self.events.emit("triggers.delivery_failed",
                                      severity="error", source=event.source,
@@ -121,8 +121,7 @@ class TriggerHub:
                                      error=str(exc))
                 continue
             self.deliveries += 1
-            if self.metrics is not None:
-                self.metrics.inc("triggers.deliveries")
-                self.metrics.observe("triggers.delivery_seconds",
-                                     perf_counter() - start)
+            self.metrics.inc("triggers.deliveries")
+            self.metrics.observe("triggers.delivery_seconds",
+                                 perf_counter() - start)
         return len(callbacks)

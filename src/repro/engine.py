@@ -65,7 +65,9 @@ class Warehouse:
         :class:`repro.obs.Tracer` or an existing tracer instance. The
         backend is then wrapped in an instrumented recorder, pipeline
         stages run inside spans, and every ``QueryResult`` carries its
-        trace. The default ``None`` allocates no tracer.
+        trace. The default ``None`` leaves :attr:`tracer` the shared
+        :data:`repro.obs.NULL_TRACER`: every layer still opens its
+        spans, and the null tracer discards them.
 
         ``metrics`` controls the **always-on** metrics plane: the
         default ``None`` records into the process-wide registry
@@ -73,10 +75,11 @@ class Warehouse:
         latency histograms across every layer, cheap enough to leave
         on (see docs/observability.md for the measured overhead).
         Pass a :class:`repro.obs.MetricsRegistry` for an isolated
-        registry, or ``False`` to disable entirely (also skips the
-        backend wrapper when tracing is off). Every warehouse
-        additionally keeps a structured :class:`repro.obs.EventLog`
-        ring buffer (``warehouse.events``) and a slow-query log
+        registry, or ``False`` for :class:`repro.obs.NullMetrics`
+        (which also leaves the backend unwrapped when tracing is off).
+        Every warehouse additionally keeps a structured
+        :class:`repro.obs.EventLog` ring buffer
+        (``warehouse.events``) and a slow-query log
         (``warehouse.slow_queries``) that captures query text,
         compiled SQL, row counts, cache hit/miss and EXPLAIN output
         for any query slower than ``slow_query_ms``.
@@ -86,26 +89,19 @@ class Warehouse:
         once); ``query_cache`` sizes the compiled-query LRU (0
         disables it). See docs/performance.md.
         """
-        from repro.obs import (EventLog, InstrumentedBackend, NullMetrics,
-                               SlowQueryLog, Tracer, resolve_metrics)
+        from repro.obs import (EventLog, InstrumentedBackend, SlowQueryLog,
+                               resolve_metrics, resolve_tracer)
         self.backend = backend if backend is not None else SqliteBackend()
         self.metrics = resolve_metrics(metrics)
-        #: the metrics sink hot paths test against None (NullMetrics
-        #: never reaches them — disabling removes the work entirely)
-        self._metrics_sink = (None if isinstance(self.metrics, NullMetrics)
-                              else self.metrics)
         self.events = EventLog()
         self.slow_queries = SlowQueryLog(threshold_ms=slow_query_ms,
                                          events=self.events)
-        self.tracer = None
-        if trace is not None and trace is not False:
-            self.tracer = trace if isinstance(trace, Tracer) else Tracer()
-            if self.tracer.metrics is None:
-                # spans feed trace.span_seconds when both are active
-                self.tracer.metrics = self._metrics_sink
-        if self.tracer is not None or self._metrics_sink is not None:
+        self.tracer = resolve_tracer(trace)
+        # spans feed trace.span_seconds when both are active
+        self.tracer.adopt_metrics(self.metrics)
+        if self.tracer.enabled or self.metrics.enabled:
             self.backend = InstrumentedBackend(
-                self.backend, self.tracer, metrics=self._metrics_sink)
+                self.backend, self.tracer, metrics=self.metrics)
         self.registry = registry or SourceRegistry()
         self.sequence_tags = sequence_tags
         self.validate_sources = validate_sources
@@ -114,7 +110,7 @@ class Warehouse:
         #: subscriptions (``repro.subscriptions``) survive across
         #: hound instances — one-shot ``harvest()`` calls included
         from repro.datahounds.triggers import TriggerHub
-        self.triggers = TriggerHub(metrics=self._metrics_sink,
+        self.triggers = TriggerHub(metrics=self.metrics,
                                    events=self.events)
         #: set by the federation catalog on shard warehouses so slow
         #: queries and spans can say *which* shard they ran on
@@ -122,7 +118,7 @@ class Warehouse:
         self.loader = WarehouseLoader(self.backend, options=options,
                                       sequence_tags=sequence_tags,
                                       create=create, tracer=self.tracer,
-                                      metrics=self._metrics_sink,
+                                      metrics=self.metrics,
                                       bulk_batch_size=bulk_batch_size)
         self.xomatiq = XomatiQ(self, cache_size=query_cache)
 
@@ -136,26 +132,28 @@ class Warehouse:
         kept or a fresh one allocated. ``max_spans`` bounds retained
         top-level spans for long-running processes. Returns the live
         :class:`repro.obs.Tracer`.
+
+        This is the only place a real tracer replaces the null one
+        after construction.
         """
         from repro.obs import InstrumentedBackend, Tracer
-        if tracer is not None:
-            self.tracer = tracer
-        elif self.tracer is None:
-            self.tracer = Tracer(max_spans=max_spans)
+        if tracer is None:
+            tracer = (self.tracer if self.tracer.enabled
+                      else Tracer(max_spans=max_spans))
+        self.tracer = tracer
         if max_spans is not None:
-            self.tracer.max_spans = max_spans
-        if self.tracer.metrics is None:
-            self.tracer.metrics = self._metrics_sink
+            tracer.max_spans = max_spans
+        tracer.adopt_metrics(self.metrics)
         if isinstance(self.backend, InstrumentedBackend):
-            self.backend.tracer = self.tracer
+            self.backend.tracer = tracer
         else:
             # metrics were off, so the backend was never wrapped; the
             # loader holds the same backend reference and must follow
             self.backend = InstrumentedBackend(
-                self.backend, self.tracer, metrics=self._metrics_sink)
+                self.backend, tracer, metrics=self.metrics)
             self.loader.backend = self.backend
-        self.loader.tracer = self.tracer
-        return self.tracer
+        self.loader.tracer = tracer
+        return tracer
 
     # -- loading ---------------------------------------------------------------
 
@@ -247,12 +245,12 @@ class Warehouse:
                 retry_policy = RetryPolicy(max_attempts=max(1, retries))
             repository = ResilientRepository(
                 repository, policy=retry_policy,
-                metrics=self._metrics_sink, events=self.events)
+                metrics=self.metrics, events=self.events)
         return DataHound(repository, self.loader, registry=self.registry,
                          validate=self.validate_sources,
                          quarantine=quarantine,
                          tracer=self.tracer,
-                         metrics=self._metrics_sink,
+                         metrics=self.metrics,
                          events=self.events,
                          triggers=self.triggers)
 
@@ -307,9 +305,8 @@ class Warehouse:
             for key in keys:
                 session.remove(source, key)
             session.delete_snapshot(source)
-        if self._metrics_sink is not None:
-            self._metrics_sink.inc("warehouse.documents_removed",
-                                   len(keys), source=source)
+        self.metrics.inc("warehouse.documents_removed", len(keys),
+                         source=source)
         self.events.emit("warehouse.remove_source", source=source,
                          documents=len(keys))
         return len(keys)
@@ -449,18 +446,14 @@ class XomatiQ:
 
     def __init__(self, warehouse: Warehouse, cache_size: int = 128):
         self.warehouse = warehouse
-        self.cache = (CompiledQueryCache(
-            cache_size, metrics=warehouse._metrics_sink)
-            if cache_size else None)
+        self.cache = (CompiledQueryCache(cache_size,
+                                         metrics=warehouse.metrics)
+                      if cache_size else None)
         # fused per-query metric handle, resolved once (the backend
         # name is fixed for the warehouse's lifetime) so the per-query
         # cost is a single locked update, not four registry lookups
-        metrics = warehouse._metrics_sink
-        if metrics is not None:
-            self._query_timer = metrics.query_timer(
-                warehouse.backend.name)
-        else:
-            self._query_timer = None
+        self._query_timer = warehouse.metrics.query_timer(
+            warehouse.backend.name)
 
     def parse(self, text: str) -> Query:
         """Parse query text to its AST."""
@@ -484,40 +477,31 @@ class XomatiQ:
         return compile_query(query,
                              sequence_tags=self.warehouse.sequence_tags)
 
-    def translate_cached(self, text: str,
-                         ast: Query | None = None
-                         ) -> tuple[CompiledQuery, bool]:
-        """Translate via the compiled-query cache; returns
-        ``(compiled, hit)``. With the cache disabled this is a plain
-        :meth:`translate` (``hit`` always False)."""
-        if self.cache is None:
-            return self.translate(text, ast), False
-        generation = self.warehouse.loader.generation
-        dialect = self.warehouse.backend.name
-        tags = self.warehouse.sequence_tags
-        compiled = self.cache.get(text, dialect, tags, generation)
-        if compiled is not None:
-            return compiled, True
-        compiled = self.translate(text, ast)
-        self.cache.put(text, dialect, tags, generation, compiled)
-        return compiled, False
+    def answer(self, text: str, tracer, root,
+               ast: Query | None = None
+               ) -> tuple[QueryResult, CompiledQuery, bool]:
+        """The pipeline inside an open ``root`` span: translate through
+        the compiled-query cache, then execute; returns ``(result,
+        compiled, cache hit)``. :meth:`query` runs it with the
+        warehouse's tracer, :func:`repro.obs.profile_query` with its
+        own.
 
-    def translate_in_spans(self, text: str, tracer, root,
-                           ast: Query | None = None) -> CompiledQuery:
-        """Cache-aware translation with per-stage spans; ``cache.hit``
-        / ``cache.miss`` counters land on ``root`` (they show up in
-        profile JSON and query traces). On a hit the parse/check/
-        compile spans are skipped entirely — that is the point."""
+        ``cache.hit`` / ``cache.miss`` count on ``root``. Parse, check,
+        compile and execute each get a span only on a miss: on a hit no
+        stage ran, and its SQL statements attach to ``root`` itself,
+        which keeps tracing off the cached-query critical path."""
+        warehouse = self.warehouse
         cache = self.cache
-        generation = dialect = tags = None
         if cache is not None:
-            generation = self.warehouse.loader.generation
-            dialect = self.warehouse.backend.name
-            tags = self.warehouse.sequence_tags
+            generation = warehouse.loader.generation
+            dialect = warehouse.backend.name
+            tags = warehouse.sequence_tags
             compiled = cache.get(text, dialect, tags, generation)
             if compiled is not None:
                 root.count("cache.hit")
-                return compiled
+                result = execute_compiled(compiled, warehouse.backend)
+                root.count("result_rows", len(result))
+                return result, compiled, True
             root.count("cache.miss")
         if ast is None:
             with tracer.span("parse"):
@@ -525,18 +509,21 @@ class XomatiQ:
         with tracer.span("check"):
             self.check(ast)
         with tracer.span("compile"):
-            compiled = compile_query(
-                ast, sequence_tags=self.warehouse.sequence_tags)
+            compiled = compile_query(ast,
+                                     sequence_tags=warehouse.sequence_tags)
         if cache is not None:
             cache.put(text, dialect, tags, generation, compiled)
-        return compiled
+        with tracer.span("execute") as span:
+            result = execute_compiled(compiled, warehouse.backend, tracer)
+            span.count("result_rows", len(result))
+        return result, compiled, False
 
     def query(self, text: str, ast: Query | None = None) -> QueryResult:
         """The full pipeline: translate (cached) then execute.
 
         On a traced warehouse every stage runs inside a span and the
-        result carries the span tree on ``result.trace``. Every query
-        — traced or not — feeds the always-on metrics plane
+        result carries the span tree on ``result.trace`` (``None``
+        otherwise). Every query feeds the always-on metrics plane
         (``query.total``, ``query.seconds``, cache hit/miss) and is
         screened by the slow-query log, which captures SQL + EXPLAIN
         for anything over the threshold. ``ast`` short-circuits
@@ -544,45 +531,24 @@ class XomatiQ:
         warehouse = self.warehouse
         tracer = warehouse.tracer
         start = time.perf_counter()
-        trace_id = ""
-        if tracer is None:
-            compiled, hit = self.translate_cached(text, ast)
-            result = execute_compiled(compiled, warehouse.backend)
-        else:
-            with tracer.span("query", query=text,
-                             backend=warehouse.backend.name) as root:
-                compiled = self.translate_in_spans(text, tracer, root, ast)
-                hit = root.counters.get("cache.hit", 0) > 0
-                if hit:
-                    # hot path: no pipeline stage ran, so no stage
-                    # spans — SQL statements attach to the query span
-                    # itself, keeping always-on tracing off the
-                    # cached-query critical path
-                    result = execute_compiled(compiled,
-                                              warehouse.backend)
-                    root.count("result_rows", len(result))
-                else:
-                    with tracer.span("execute") as span:
-                        result = execute_compiled(compiled,
-                                                  warehouse.backend,
-                                                  tracer=tracer)
-                        span.count("result_rows", len(result))
+        with tracer.span("query", query=text,
+                         backend=warehouse.backend.name) as root:
+            result, compiled, hit = self.answer(text, tracer, root, ast)
+        if tracer.enabled:
             result.trace = root
-            trace_id = root.trace_id
         duration_s = time.perf_counter() - start
-        if self._query_timer is not None:
-            self._query_timer.record(hit, duration_s, len(result))
+        self._query_timer.record(hit, duration_s, len(result))
         warehouse.slow_queries.record(
             text, warehouse.backend, duration_s * 1000.0, len(result),
             hit, compiled.parameterized_statements,
-            shard=warehouse.shard_name, trace_id=trace_id)
+            shard=warehouse.shard_name, trace_id=root.trace_id)
         return result
 
     def execute(self, compiled: CompiledQuery) -> QueryResult:
         """Run an already-compiled query (benchmarks separate compile
         and execute cost with this)."""
         return execute_compiled(compiled, self.warehouse.backend,
-                                tracer=self.warehouse.tracer)
+                                self.warehouse.tracer)
 
     def _dtd_for_source(self, source: str):
         if source in self.warehouse.registry:

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.errors import ShardConfigError, ShardUnreachableError
+from repro.obs.trace import NULL_TRACER
 
 CATALOG_VERSION = 1
 
@@ -99,7 +100,7 @@ class ShardCatalog:
         #: :meth:`set_tracer`), so shard-side query spans and SQL
         #: statement records land in the *coordinator's* span tree
         #: instead of per-shard orphan tracers
-        self.tracer = None
+        self.tracer = NULL_TRACER
         self._specs: dict[str, ShardSpec] = {}
         #: shard name → ordered replica specs (replica backend names
         #: are derived: ``<shard>#r<ordinal>``)
@@ -140,11 +141,7 @@ class ShardCatalog:
         if name in self._specs:
             raise ShardConfigError(f"shard {name!r} already registered")
         self._specs[name] = ShardSpec(name=name, path=MEMORY_PATH)
-        self._warehouses[name] = warehouse
-        if not getattr(warehouse, "shard_name", ""):
-            warehouse.shard_name = name
-        if self.tracer is not None:
-            warehouse.enable_tracing(self.tracer)
+        self._adopt(name, warehouse)
 
     def add_replica(self, shard: str, path: str = MEMORY_PATH,
                     backend: str = "sqlite",
@@ -178,12 +175,18 @@ class ShardCatalog:
         """Register a replica backed by an already-open warehouse
         (tests and benchmarks build in-memory replicas up front)."""
         spec = self.add_replica(shard)
-        self._warehouses[spec.name] = warehouse
-        if not getattr(warehouse, "shard_name", ""):
-            warehouse.shard_name = spec.name
-        if self.tracer is not None:
-            warehouse.enable_tracing(self.tracer)
+        self._adopt(spec.name, warehouse)
         return spec
+
+    def _adopt(self, name: str, warehouse) -> None:
+        """Pool a ready-made warehouse under ``name``, branded with it
+        unless it already carries a shard name, and handed the shared
+        tracer when the federation traces."""
+        self._warehouses[name] = warehouse
+        if not getattr(warehouse, "shard_name", ""):
+            warehouse.shard_name = name
+        if self.tracer.enabled:
+            warehouse.enable_tracing(self.tracer)
 
     def replicas(self, shard: str) -> list[ShardSpec]:
         """Ordered replica specs of one shard ([] when none)."""

@@ -21,7 +21,8 @@ Fault kinds:
   (a brown-out: slow enough to trip timeouts and hedges, not dead).
 
 Every decision comes from per-backend seeded RNGs or explicit scripts
-(:class:`ChaosPlan`, the FaultPlan discipline), so a given plan replays
+(:class:`ChaosPlan`, a :class:`repro.resilience.FaultSchedule` like the
+harvest plane's FaultPlan), so a given plan replays
 the same fault sequence every run — chaos you can put in a regression
 test. On top of the plan, :meth:`FaultInjectingBackend.force` pins an
 outcome at runtime (``force("error")`` is the E16 bench's mid-run
@@ -37,19 +38,19 @@ Wiring one into a live warehouse::
 
 from __future__ import annotations
 
-import random
 import threading
 import time
 from dataclasses import dataclass
 
 from repro.errors import StorageError
+from repro.resilience import FaultRates, FaultSchedule
 
 #: every fault kind a plan can inject (``ok`` = no fault)
 CHAOS_KINDS = ("error", "stall", "slow")
 
 
 @dataclass
-class ChaosSpec:
+class ChaosSpec(FaultRates):
     """Per-backend fault configuration.
 
     ``script`` is consumed first — an explicit outcome per statement;
@@ -57,6 +58,8 @@ class ChaosSpec:
     backend's seeded RNG. Rates are cumulative-checked in the order
     error, stall, slow and must sum to <= 1.
     """
+
+    RATE_ORDER = CHAOS_KINDS
 
     error_rate: float = 0.0
     stall_rate: float = 0.0
@@ -68,32 +71,11 @@ class ChaosSpec:
     slow_s: float = 0.05
     script: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        total = self.error_rate + self.stall_rate + self.slow_rate
-        if total > 1.0 + 1e-9:
-            raise ValueError(f"fault rates sum to {total}, must be <= 1")
-        for kind in self.script:
-            if kind not in CHAOS_KINDS and kind != "ok":
-                raise ValueError(f"unknown scripted fault {kind!r}")
 
-
-class ChaosPlan:
-    """Seedable, per-backend fault schedule.
-
-    One RNG per backend (seeded from ``(seed, backend)``) keeps each
-    backend's fault sequence independent of how statements interleave
-    across backends — scatter order never changes what a backend
-    injects. :meth:`reset` re-arms scripts and RNGs so the same plan
-    drives a byte-identical second run.
-    """
-
-    def __init__(self, seed: int = 0):
-        self.seed = seed
-        self._specs: dict[str, ChaosSpec] = {}
-        self._cursors: dict[str, int] = {}
-        self._rngs: dict[str, random.Random] = {}
-        #: injected fault counts: (backend, kind) -> count
-        self.injected: dict[tuple[str, str], int] = {}
+class ChaosPlan(FaultSchedule):
+    """Seedable, per-backend fault schedule (a :class:`FaultSchedule`
+    keyed by backend name, so scatter order never changes what a
+    backend injects)."""
 
     def add_backend(self, backend: str = "*", **spec_kwargs) -> "ChaosPlan":
         """Configure faults for one backend (``"*"`` = any backend
@@ -107,49 +89,6 @@ class ChaosPlan:
         statements."""
         self._specs[backend] = ChaosSpec(script=(kind,) * failures)
         return self
-
-    def spec_for(self, backend: str) -> ChaosSpec | None:
-        """The spec governing one backend (wildcard fallback)."""
-        spec = self._specs.get(backend)
-        return spec if spec is not None else self._specs.get("*")
-
-    def next_outcome(self, backend: str) -> str:
-        """The fault (or ``"ok"``) for this backend's next statement."""
-        spec = self.spec_for(backend)
-        if spec is None:
-            return "ok"
-        cursor = self._cursors.get(backend, 0)
-        if cursor < len(spec.script):
-            self._cursors[backend] = cursor + 1
-            outcome = spec.script[cursor]
-        else:
-            roll = self._rng(backend).random()
-            outcome = "ok"
-            threshold = 0.0
-            for kind, rate in (("error", spec.error_rate),
-                               ("stall", spec.stall_rate),
-                               ("slow", spec.slow_rate)):
-                threshold += rate
-                if roll < threshold:
-                    outcome = kind
-                    break
-        if outcome != "ok":
-            key = (backend, outcome)
-            self.injected[key] = self.injected.get(key, 0) + 1
-        return outcome
-
-    def reset(self) -> None:
-        """Re-arm scripts, RNGs and counts for a replay run."""
-        self._cursors.clear()
-        self._rngs.clear()
-        self.injected.clear()
-
-    def _rng(self, backend: str) -> random.Random:
-        rng = self._rngs.get(backend)
-        if rng is None:
-            rng = self._rngs[backend] = random.Random(
-                f"{self.seed}:{backend}")
-        return rng
 
 
 class FaultInjectingBackend:

@@ -83,6 +83,8 @@ from repro.errors import (
     StorageError,
     UnknownDocumentError,
 )
+from repro.obs.metrics import NULL_METRICS
+from repro.obs.trace import NULL_TRACER
 from repro.resilience import OPEN, CircuitBreaker
 from repro.federation.costs import (
     INLIST_CUTOFF,
@@ -163,7 +165,7 @@ class _UnitRow:
 class ScatterGatherExecutor:
     """Runs :class:`FederatedPlan` objects against a shard catalog."""
 
-    def __init__(self, catalog, metrics=None, tracer=None,
+    def __init__(self, catalog, metrics=NULL_METRICS, tracer=NULL_TRACER,
                  max_workers: int | None = None, stats=None,
                  policy: FaultPolicy | None = None):
         self.catalog = catalog
@@ -221,24 +223,20 @@ class ScatterGatherExecutor:
         interrupted and their shards reported as failed."""
         deadline = (self.clock() + deadline_s
                     if deadline_s is not None else None)
-        if self.tracer is None:
-            return self._execute(plan, None, deadline)
+        self.metrics.inc("federation.queries")
+        self.metrics.inc("federation.fanout", plan.fanout)
         with self.tracer.span("federated_query", query=plan.text,
                               fanout=plan.fanout) as root:
             if deadline_s is not None:
                 root.meta["deadline_ms"] = round(deadline_s * 1000.0, 3)
-            result = self._execute(plan, root, deadline)
+            if plan.route_shard is not None:
+                result = self._route(plan, root, deadline)
+            else:
+                result = self._scatter(plan, root, deadline)
             root.count("result_rows", len(result))
-        result.trace = root
+        if self.tracer.enabled:
+            result.trace = root
         return result
-
-    def _execute(self, plan: FederatedPlan, root, deadline) -> QueryResult:
-        if self.metrics is not None:
-            self.metrics.inc("federation.queries")
-            self.metrics.inc("federation.fanout", plan.fanout)
-        if plan.route_shard is not None:
-            return self._route(plan, root, deadline)
-        return self._scatter(plan, root, deadline)
 
     # -- single-shard fast path ----------------------------------------------
 
@@ -246,34 +244,27 @@ class ScatterGatherExecutor:
         """Every source lives whole on one shard: hand the original
         query to that shard's engine untouched."""
         shard = plan.route_shard
-        if self.tracer is not None and root is not None:
-            with self.tracer.span("shard_subquery", parent=root,
-                                  shard=shard, route="single") as span:
-                return self._route_inner(plan, shard, span, deadline)
-        return self._route_inner(plan, shard, None, deadline)
-
-    def _route_inner(self, plan: FederatedPlan, shard: str,
-                     span, deadline) -> QueryResult:
-        started = time.perf_counter()
-        try:
-            result, backend, info = self._resilient_subquery(
-                plan.text, plan.query, shard, deadline)
-        except DEGRADABLE as exc:
-            if span is not None:
+        with self.tracer.span("shard_subquery", parent=root,
+                              shard=shard, route="single") as span:
+            started = time.perf_counter()
+            try:
+                result, backend, info = self._resilient_subquery(
+                    plan.text, plan.query, shard, deadline)
+            except DEGRADABLE as exc:
                 span.meta["error"] = str(exc)
-            return self._degraded_result(plan, [self._warn(shard, exc)],
-                                         shard)
-        self._annotate_attempt(span, backend, info)
-        self._observe_shard(shard, time.perf_counter() - started,
-                            len(result.rows), span,
-                            sum(_row_bytes(row.values)
-                                for row in result.rows))
-        for row in result.rows:
-            row.bindings = {
-                var: ShardBoundNode(doc_id=node.doc_id,
-                                    node_id=node.node_id, shard=shard)
-                for var, node in row.bindings.items()}
-        return result
+                return self._degraded_result(
+                    plan, [self._warn(shard, exc)], shard)
+            self._annotate_attempt(span, backend, info)
+            self._observe_shard(shard, time.perf_counter() - started,
+                                len(result.rows), span,
+                                sum(_row_bytes(row.values)
+                                    for row in result.rows))
+            for row in result.rows:
+                row.bindings = {
+                    var: ShardBoundNode(doc_id=node.doc_id,
+                                        node_id=node.node_id, shard=shard)
+                    for var, node in row.bindings.items()}
+            return result
 
     # -- scatter-gather -------------------------------------------------------
 
@@ -312,17 +303,13 @@ class ScatterGatherExecutor:
             self._run_phase(plan, phase_two, unit_rows, warnings, root,
                             deadline, lost)
 
-        if self.tracer is not None and root is not None:
-            with self.tracer.span("coordinator_join") as span:
-                combos = self._gather(plan, unit_rows)
-                result = self._assemble(plan, combos)
-                span.count("combos", len(combos))
-        else:
+        with self.tracer.span("coordinator_join") as span:
             combos = self._gather(plan, unit_rows)
             result = self._assemble(plan, combos)
+            span.count("combos", len(combos))
         result.warnings.extend(warnings)
         result.failed_shards = sorted(lost)
-        if warnings and self.metrics is not None:
+        if warnings:
             self.metrics.inc("federation.partial_results")
         return result
 
@@ -376,9 +363,7 @@ class ScatterGatherExecutor:
                         for value in row.values.get(semijoin.build_key, [])
                         if value})
         if len(values) <= INLIST_CUTOFF:
-            if self.metrics is not None:
-                self.metrics.inc("federation.semijoin_filters",
-                                 mode="inlist")
+            self.metrics.inc("federation.semijoin_filters", mode="inlist")
             atom = ValueIn(target=semijoin.probe_path,
                            values=tuple(values))
             where = subplan.subquery.where
@@ -393,8 +378,7 @@ class ScatterGatherExecutor:
             rewritten = dataclasses.replace(subplan, subquery=subquery,
                                             text=str(subquery))
             return rewritten, None, "inlist"
-        if self.metrics is not None:
-            self.metrics.inc("federation.semijoin_filters", mode="bloom")
+        self.metrics.inc("federation.semijoin_filters", mode="bloom")
         return subplan, (semijoin.probe_key, BloomFilter(values)), "bloom"
 
     def _run_subquery(self, plan: FederatedPlan, subplan: ShardSubPlan,
@@ -415,49 +399,37 @@ class ScatterGatherExecutor:
         span (and every SQL statement record) nests under this one:
         one connected tree from request to statement.
         """
-        if self.tracer is not None and root is not None:
-            meta = {"shard": shard,
-                    "sources": ", ".join(subplan.sources)}
-            if mode is not None:
-                meta["semijoin"] = mode
-            with self.tracer.span("shard_subquery", parent=root,
-                                  **meta) as span:
-                return self._shard_subquery(plan, subplan, shard,
-                                            bloom, span, deadline)
-        return self._shard_subquery(plan, subplan, shard, bloom, None,
-                                    deadline)
-
-    def _shard_subquery(self, plan: FederatedPlan,
-                        subplan: ShardSubPlan, shard: str, bloom, span,
-                        deadline):
-        started = time.perf_counter()
-        try:
-            result, backend, info = self._resilient_subquery(
-                subplan.text, subplan.subquery, shard, deadline)
-        except UnknownDocumentError:
-            # the shard hosts the source but holds none of its
-            # documents (an empty partition slice): zero bindings,
-            # not a fault
-            return [], None
-        except DEGRADABLE as exc:
-            if span is not None:
+        meta = {"shard": shard, "sources": ", ".join(subplan.sources)}
+        if mode is not None:
+            meta["semijoin"] = mode
+        with self.tracer.span("shard_subquery", parent=root,
+                              **meta) as span:
+            started = time.perf_counter()
+            try:
+                result, backend, info = self._resilient_subquery(
+                    subplan.text, subplan.subquery, shard, deadline)
+            except UnknownDocumentError:
+                # the shard hosts the source but holds none of its
+                # documents (an empty partition slice): zero bindings,
+                # not a fault
+                return [], None
+            except DEGRADABLE as exc:
                 span.meta["error"] = str(exc)
-            return [], self._warn(shard, exc, subplan)
-        self._annotate_attempt(span, backend, info)
-        rows = self._unit_rows(plan, subplan, shard, result)
-        if bloom is not None:
-            key, shipped_filter = bloom
-            kept = [row for row in rows
-                    if any(value and value in shipped_filter
-                           for value in row.values.get(key, []))]
-            if self.metrics is not None:
+                return [], self._warn(shard, exc, subplan)
+            self._annotate_attempt(span, backend, info)
+            rows = self._unit_rows(plan, subplan, shard, result)
+            if bloom is not None:
+                key, shipped_filter = bloom
+                kept = [row for row in rows
+                        if any(value and value in shipped_filter
+                               for value in row.values.get(key, []))]
                 self.metrics.inc("federation.rows_pruned",
                                  len(rows) - len(kept))
-            rows = kept
-        self._observe_shard(shard, time.perf_counter() - started,
-                            len(rows), span,
-                            sum(_row_bytes(row.values) for row in rows))
-        return rows, None
+                rows = kept
+            self._observe_shard(shard, time.perf_counter() - started,
+                                len(rows), span,
+                                sum(_row_bytes(row.values) for row in rows))
+            return rows, None
 
     def _unit_rows(self, plan: FederatedPlan, subplan: ShardSubPlan,
                    shard: str, result: QueryResult) -> list[_UnitRow]:
@@ -498,7 +470,7 @@ class ScatterGatherExecutor:
         for backend in self.catalog.backends_for(shard):
             if self.breaker(backend).allow():
                 candidates.append(backend)
-            elif self.metrics is not None:
+            else:
                 self.metrics.inc("federation.breaker_skips",
                                  backend=backend)
         if not candidates:
@@ -551,9 +523,8 @@ class ScatterGatherExecutor:
                     self.breaker(backend).record_failure()
                     last_exc = exc
                     if retry + 1 < retries:
-                        if self.metrics is not None:
-                            self.metrics.inc("federation.shard_retries",
-                                             shard=shard)
+                        self.metrics.inc("federation.shard_retries",
+                                         shard=shard)
                         if self.policy.retry_delay_s:
                             self.sleep(self.policy.retry_delay_s)
                     continue
@@ -561,7 +532,7 @@ class ScatterGatherExecutor:
                 return result, backend, {"attempts": attempts,
                                          "hedged": False,
                                          "hedge_won": False}
-            if index + 1 < len(candidates) and self.metrics is not None:
+            if index + 1 < len(candidates):
                 self.metrics.inc("federation.failovers", shard=shard)
         raise last_exc
 
@@ -660,9 +631,7 @@ class ScatterGatherExecutor:
                         exclude=set(in_flight.values()))
                     hedge_at = None
                     if backend is not None:
-                        if self.metrics is not None:
-                            self.metrics.inc("federation.hedges",
-                                             shard=shard)
+                        self.metrics.inc("federation.hedges", shard=shard)
                         hedge_token = launch(backend)
                     continue
                 if policy.subquery_timeout_s is not None:
@@ -673,9 +642,8 @@ class ScatterGatherExecutor:
                         backend = in_flight.pop(token)
                         self._interrupt(backend)
                         self.breaker(backend).record_failure()
-                        if self.metrics is not None:
-                            self.metrics.inc("federation.shard_timeouts",
-                                             shard=shard)
+                        self.metrics.inc("federation.shard_timeouts",
+                                         shard=shard)
                         last_exc = ShardUnreachableError(
                             f"shard {shard!r}: backend {backend!r} "
                             f"exceeded its "
@@ -684,9 +652,8 @@ class ScatterGatherExecutor:
                     if expired and not in_flight:
                         backend = next_backend()
                         if backend is not None:
-                            if self.metrics is not None:
-                                self.metrics.inc("federation.failovers",
-                                                 shard=shard)
+                            self.metrics.inc("federation.failovers",
+                                             shard=shard)
                             launch(backend)
                 continue
             if token not in in_flight:
@@ -705,9 +672,7 @@ class ScatterGatherExecutor:
                     # fired but *lost* costs the primary nothing.
                     for loser in in_flight.values():
                         self.breaker(loser).record_failure()
-                    if self.metrics is not None:
-                        self.metrics.inc("federation.hedge_wins",
-                                         shard=shard)
+                    self.metrics.inc("federation.hedge_wins", shard=shard)
                 abandon()
                 return result, backend, {
                     "attempts": token_counter,
@@ -726,13 +691,11 @@ class ScatterGatherExecutor:
                 nxt = next_backend()
                 if nxt is None:
                     raise last_exc
-                if self.metrics is not None:
-                    if nxt == backend:
-                        self.metrics.inc("federation.shard_retries",
-                                         shard=shard)
-                    else:
-                        self.metrics.inc("federation.failovers",
-                                         shard=shard)
+                if nxt == backend:
+                    self.metrics.inc("federation.shard_retries",
+                                     shard=shard)
+                else:
+                    self.metrics.inc("federation.failovers", shard=shard)
                 launch(nxt)
         if last_exc is not None:
             raise last_exc
@@ -767,14 +730,11 @@ class ScatterGatherExecutor:
             warehouse.interrupt()
         except Exception:
             return  # the backend is already broken; nothing to cancel
-        if self.metrics is not None:
-            self.metrics.inc("federation.interrupts", backend=backend)
+        self.metrics.inc("federation.interrupts", backend=backend)
 
     def _annotate_attempt(self, span, backend: str, info: dict) -> None:
         """Stamp the winning backend and attempt shape on the
         subquery's trace span."""
-        if span is None:
-            return
         span.meta["backend"] = backend
         if info.get("attempts", 1) > 1:
             span.meta["attempts"] = info["attempts"]
@@ -931,8 +891,7 @@ class ScatterGatherExecutor:
     def _degraded_result(self, plan: FederatedPlan, warnings: list[str],
                          shard: str | None = None) -> QueryResult:
         """Empty-but-answering result for a fully lost route."""
-        if self.metrics is not None:
-            self.metrics.inc("federation.partial_results")
+        self.metrics.inc("federation.partial_results")
         columns = unique_columns([item.output_name
                                   for item in plan.query.returns])
         return QueryResult(columns=columns,
@@ -944,8 +903,7 @@ class ScatterGatherExecutor:
 
     def _warn(self, shard: str, exc: Exception,
               subplan: ShardSubPlan | None = None) -> str:
-        if self.metrics is not None:
-            self.metrics.inc("federation.shard_errors", shard=shard)
+        self.metrics.inc("federation.shard_errors", shard=shard)
         sources = (" and ".join(subplan.sources)
                    if subplan is not None else "this query")
         return (f"shard {shard!r} unavailable — results for {sources} "
@@ -956,19 +914,14 @@ class ScatterGatherExecutor:
         if not plan.cost_based:
             return
         estimated = round(sum(plan.estimated_rows.values()))
-        if self.metrics is not None:
-            if plan.estimated_rows:
-                self.metrics.inc("federation.estimated_rows", estimated)
-            if plan.pruned:
-                self.metrics.inc("federation.shards_pruned",
-                                 len(plan.pruned))
-        if root is not None:
-            if plan.estimated_rows:
-                root.count("estimated_rows", estimated)
-            if plan.pruned:
-                root.count("shards_pruned", len(plan.pruned))
-            if plan.semijoins:
-                root.count("semijoin_filters", len(plan.semijoins))
+        if plan.estimated_rows:
+            self.metrics.inc("federation.estimated_rows", estimated)
+            root.count("estimated_rows", estimated)
+        if plan.pruned:
+            self.metrics.inc("federation.shards_pruned", len(plan.pruned))
+            root.count("shards_pruned", len(plan.pruned))
+        if plan.semijoins:
+            root.count("semijoin_filters", len(plan.semijoins))
 
     def _observe_shard(self, shard: str, seconds: float, rows: int,
                        span, bytes_shipped: int = 0) -> None:
@@ -976,18 +929,14 @@ class ScatterGatherExecutor:
         its (live, worker-opened) ``shard_subquery`` span. The span's
         trace id doubles as the ``federation.shard_seconds`` exemplar,
         tying the latency bucket to a resolvable trace."""
-        if self.metrics is not None:
-            exemplar = (span.trace_id
-                        if span is not None and span.trace_id else None)
-            self.metrics.observe("federation.shard_seconds", seconds,
-                                 shard=shard, exemplar=exemplar)
-            self.metrics.inc("federation.rows_shipped", rows)
-            self.metrics.inc("federation.bytes_shipped", bytes_shipped)
+        self.metrics.observe("federation.shard_seconds", seconds,
+                             shard=shard, exemplar=span.trace_id or None)
+        self.metrics.inc("federation.rows_shipped", rows)
+        self.metrics.inc("federation.bytes_shipped", bytes_shipped)
         if self.stats is not None:
             self.stats.record_observation(shard, seconds, rows)
-        if span is not None:
-            span.counters["rows_shipped"] = rows
-            span.counters["bytes_shipped"] = bytes_shipped
+        span.counters["rows_shipped"] = rows
+        span.counters["bytes_shipped"] = bytes_shipped
 
 
 def _row_bytes(values: dict) -> int:

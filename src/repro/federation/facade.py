@@ -67,40 +67,32 @@ class FederatedXomatiQ:
                  stats_path=None,
                  fault_policy=None):
         """``metrics``/``trace`` follow :class:`~repro.engine.
-        Warehouse` conventions (default registry / no tracer);
+        Warehouse` conventions (default registry / the null tracer; a
+        real tracer is shared with every shard warehouse);
         ``max_workers`` caps the scatter pool (default: one thread per
         shard subquery). ``stats`` is the optimizer's statistics
         catalog (empty until :meth:`analyze` runs — plans stay
         rule-based until then); ``stats_path`` is where refreshed
         statistics persist (defaults to the shard map's sibling
         ``.stats.json`` when opened via :meth:`from_shard_map`)."""
-        from repro.obs import NullMetrics, Tracer, resolve_metrics
+        from repro.obs import resolve_metrics, resolve_tracer
         self.catalog = catalog
         self.registry = registry or SourceRegistry()
         self.validate_sources = validate_sources
         self.metrics = resolve_metrics(metrics)
-        self._metrics_sink = (None if isinstance(self.metrics, NullMetrics)
-                              else self.metrics)
-        self.tracer = None
-        if trace is not None and trace is not False:
-            self.tracer = trace if isinstance(trace, Tracer) else Tracer()
-            if self.tracer.metrics is None:
-                self.tracer.metrics = self._metrics_sink
         if self.catalog.metrics is None:
             # shard warehouses record into the facade's registry too
             self.catalog.metrics = self.metrics
-        if self.tracer is not None:
-            # one tracer across coordinator and every shard — the
-            # distributed trace is a single tree
-            self.catalog.set_tracer(self.tracer)
         self.statistics = stats if stats is not None else StatisticsCatalog()
         self.stats_path = stats_path
         self.planner = FederationPlanner(
             catalog, cost_model=CostModel(self.statistics))
         self.executor = ScatterGatherExecutor(
-            catalog, metrics=self._metrics_sink, tracer=self.tracer,
-            max_workers=max_workers, stats=self.statistics,
-            policy=fault_policy)
+            catalog, metrics=self.metrics, max_workers=max_workers,
+            stats=self.statistics, policy=fault_policy)
+        self.tracer = resolve_tracer(trace)
+        if self.tracer.enabled:
+            self.enable_tracing(self.tracer)
 
     @classmethod
     def from_shard_map(cls, path, **kwargs) -> "FederatedXomatiQ":
@@ -130,17 +122,16 @@ class FederatedXomatiQ:
         executor, and every shard warehouse, so a federated query's
         trace is a single connected tree. Returns the tracer."""
         from repro.obs import Tracer
-        if tracer is not None:
-            self.tracer = tracer
-        elif self.tracer is None:
-            self.tracer = Tracer(max_spans=max_spans)
+        if tracer is None:
+            tracer = (self.tracer if self.tracer.enabled
+                      else Tracer(max_spans=max_spans))
+        self.tracer = tracer
         if max_spans is not None:
-            self.tracer.max_spans = max_spans
-        if self.tracer.metrics is None:
-            self.tracer.metrics = self._metrics_sink
-        self.executor.tracer = self.tracer
-        self.catalog.set_tracer(self.tracer)
-        return self.tracer
+            tracer.max_spans = max_spans
+        tracer.adopt_metrics(self.metrics)
+        self.executor.tracer = tracer
+        self.catalog.set_tracer(tracer)
+        return tracer
 
     def query(self, text: str,
               deadline_s: float | None = None) -> QueryResult:
@@ -157,16 +148,12 @@ class FederatedXomatiQ:
         executor's ``federated_query`` span, so a request trace reads
         handler → plan → scatter."""
         started = time.perf_counter()
-        if self.tracer is None:
+        with self.tracer.span("plan", query=text) as span:
             plan = self.plan(text)
-        else:
-            with self.tracer.span("plan", query=text) as span:
-                plan = self.plan(text)
-                span.meta["fanout"] = plan.fanout
+            span.meta["fanout"] = plan.fanout
         result = self.executor.execute(plan, deadline_s=deadline_s)
-        if self._metrics_sink is not None:
-            self._metrics_sink.observe("federation.query_seconds",
-                                       time.perf_counter() - started)
+        self.metrics.observe("federation.query_seconds",
+                             time.perf_counter() - started)
         return result
 
     def plan(self, text: str) -> FederatedPlan:
@@ -194,9 +181,7 @@ class FederatedXomatiQ:
         if not stale:
             return
         self.statistics.collect(self.catalog, shard_names=stale)
-        if self._metrics_sink is not None:
-            self._metrics_sink.inc("federation.stats_refreshed",
-                                   len(stale))
+        self.metrics.inc("federation.stats_refreshed", len(stale))
         self._persist_stats()
 
     def _persist_stats(self) -> None:
@@ -254,9 +239,8 @@ class FederatedXomatiQ:
             warehouse = self.catalog.warehouse(shard)
             counts[shard] = warehouse.load_entries(
                 source, chunk, batch_size=batch_size)
-            if self._metrics_sink is not None:
-                self._metrics_sink.inc("federation.documents_loaded",
-                                       counts[shard], shard=shard)
+            self.metrics.inc("federation.documents_loaded", counts[shard],
+                             shard=shard)
             for replica in self.catalog.replicas(shard):
                 try:
                     self.catalog.warehouse(replica.name).load_entries(
@@ -264,10 +248,8 @@ class FederatedXomatiQ:
                 except ShardUnreachableError:
                     # a down replica just loses this slice; the primary
                     # still holds it, and health reports the replica
-                    if self._metrics_sink is not None:
-                        self._metrics_sink.inc(
-                            "federation.replica_load_skipped",
-                            backend=replica.name)
+                    self.metrics.inc("federation.replica_load_skipped",
+                                     backend=replica.name)
         return counts
 
     def load_corpus(self, corpus) -> dict[str, int]:
@@ -459,10 +441,9 @@ class FederatedXomatiQ:
                       + (f"; idle shards: {', '.join(unrouted)}"
                          if unrouted else "")})
         errors = {}
-        if self._metrics_sink is not None:
-            for labels, value in self._metrics_sink.counter_items(
-                    "federation.shard_errors"):
-                errors[labels.get("shard", "?")] = int(value)
+        for labels, value in self.metrics.counter_items(
+                "federation.shard_errors"):
+            errors[labels.get("shard", "?")] = int(value)
         checks.append({
             "name": "shard_errors",
             "status": OK if not errors else WARN,

@@ -30,11 +30,14 @@ This package provides it:
 
 Span *tracing* remains opt-in (``Warehouse(trace=True)``); the metrics
 plane and slow-query log are always on and can be disabled with
-``Warehouse(metrics=False)``. When both are active, every finished
-span automatically feeds the ``trace.span_seconds`` histogram.
+``Warehouse(metrics=False)``. Off is a null object, never ``None``:
+:data:`NULL_TRACER` and :data:`NULL_METRICS` (a :class:`NullMetrics`)
+take every call and keep nothing, so each layer runs one code path.
+When both are active, every finished span automatically feeds the
+``trace.span_seconds`` histogram.
 """
 
-from repro.obs.backend import InstrumentedBackend, StatementRecord
+from repro.obs.backend import InstrumentedBackend
 from repro.obs.events import Event, EventLog, SlowQueryLog, SlowQueryRecord
 from repro.obs.export import (
     export_profiles,
@@ -47,6 +50,7 @@ from repro.obs.health import format_health, health_report
 from repro.obs.metrics import (
     Counter,
     Gauge,
+    NULL_METRICS,
     Histogram,
     MetricsRegistry,
     NullMetrics,
@@ -54,7 +58,15 @@ from repro.obs.metrics import (
     resolve_metrics,
 )
 from repro.obs.profile import ProfileReport, format_profile, profile_query
-from repro.obs.trace import Span, TraceContext, Tracer
+from repro.obs.trace import (
+    NULL_TRACER,
+    NullTracer,
+    Span,
+    StatementRecord,
+    TraceContext,
+    Tracer,
+    resolve_tracer,
+)
 from repro.obs.tracestore import (
     TraceRecord,
     TraceStore,
@@ -72,7 +84,10 @@ __all__ = [
     "Histogram",
     "InstrumentedBackend",
     "MetricsRegistry",
+    "NULL_METRICS",
+    "NULL_TRACER",
     "NullMetrics",
+    "NullTracer",
     "ProfileReport",
     "SlowQueryLog",
     "SlowQueryRecord",
@@ -92,6 +107,7 @@ __all__ = [
     "profile_query",
     "profile_to_dict",
     "resolve_metrics",
+    "resolve_tracer",
     "span_to_dict",
     "trace_summary",
     "trace_to_dict",

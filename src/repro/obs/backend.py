@@ -17,35 +17,11 @@ backend-specific extras like ``analyze`` and ``last_plan``.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Iterable
 
+from repro.obs.metrics import NULL_METRICS
+from repro.obs.trace import NULL_TRACER
 from repro.relational.backend import Backend, Params, Row
-
-
-@dataclass(slots=True)
-class StatementRecord:
-    """One executed SQL statement (or one ``executemany`` batch).
-
-    Slotted and allocation-lean: one of these is created per SQL
-    statement on a traced warehouse, which is the hottest allocation
-    site in the observability plane."""
-
-    sql: str
-    kind: str
-    param_count: int
-    row_count: int
-    duration_s: float
-    #: number of underlying statements (batch size for executemany)
-    executions: int = 1
-    #: captured EXPLAIN lines (empty unless plan capture is on)
-    plan: tuple[str, ...] = ()
-    extra: dict[str, object] | None = None
-
-    @property
-    def duration_ms(self) -> float:
-        """Wall-clock milliseconds."""
-        return self.duration_s * 1000.0
 
 
 def statement_kind(sql: str) -> str:
@@ -58,10 +34,11 @@ def statement_kind(sql: str) -> str:
 class InstrumentedBackend:
     """A :class:`Backend` that measures every statement it forwards.
 
-    Two independent sinks, either or both active:
+    Two independent sinks, either or both live (the other is its null
+    object):
 
     * ``tracer`` — every statement becomes a :class:`StatementRecord`
-      on the innermost span (the PR-1 tracing behaviour),
+      on the innermost span,
     * ``metrics`` — per-kind statement counters and latency histograms
       in a :class:`repro.obs.metrics.MetricsRegistry`; this is the
       always-on path, so handles are cached per SQL text and each
@@ -69,8 +46,8 @@ class InstrumentedBackend:
       (:class:`repro.obs.metrics.StatementTimer`).
     """
 
-    def __init__(self, inner: Backend, tracer=None,
-                 capture_explain: bool = False, metrics=None):
+    def __init__(self, inner: Backend, tracer=NULL_TRACER,
+                 capture_explain: bool = False, metrics=NULL_METRICS):
         self.inner = inner
         self.tracer = tracer
         self.metrics = metrics
@@ -100,8 +77,7 @@ class InstrumentedBackend:
 
     def _sql_entry(self, sql: str):
         kind = statement_kind(sql)
-        timer = self._handles(kind) if self.metrics is not None else None
-        entry = (kind, timer)
+        entry = (kind, self._handles(kind))
         if len(self._sql_handles) < 4096:   # bound ad-hoc SQL growth
             self._sql_handles[sql] = entry
         return entry
@@ -119,16 +95,13 @@ class InstrumentedBackend:
         start = clock()
         rows = self.inner.execute(sql, params)
         duration = clock() - start
-        if timer is not None:
-            timer.record(len(rows), duration)
-        if self.tracer is not None:
-            try:
-                param_count = len(params)
-            except TypeError:
-                param_count = len(tuple(params))
-            # positional construction: this runs once per statement
-            self.tracer.record_statement(StatementRecord(
-                sql, kind, param_count, len(rows), duration, 1, plan))
+        timer.record(len(rows), duration)
+        try:
+            param_count = len(params)
+        except TypeError:
+            param_count = len(tuple(params))
+        self.tracer.record_statement(sql, kind, param_count, len(rows),
+                                     duration, 1, plan)
         return rows
 
     def executemany(self, sql: str, params_seq: Iterable[Params]) -> int:
@@ -153,12 +126,8 @@ class InstrumentedBackend:
         start = self._clock()
         count = self.inner.executemany(sql, watched(params_seq))
         duration = self._clock() - start
-        if self.metrics is not None:
-            self._handles(kind).record(0, duration, executions=count)
-        if self.tracer is not None:
-            self.tracer.record_statement(StatementRecord(
-                sql=sql, kind=kind, param_count=width,
-                row_count=0, duration_s=duration, executions=count))
+        self._handles(kind).record(0, duration, executions=count)
+        self.tracer.record_statement(sql, kind, width, 0, duration, count)
         return count
 
     def commit(self) -> None:

@@ -127,6 +127,8 @@ def _statement_to_dict(record) -> dict:
 
 
 def _jsonable(value):
+    """A JSON primitive as itself; anything exotic (an exception
+    object, a Path) degrades to its string form."""
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
     return str(value)

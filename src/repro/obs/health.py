@@ -62,7 +62,7 @@ def health_report(warehouse, metrics=None,
     yet) report ``warn``. The overall status is the worst check.
     """
     if metrics is None:
-        metrics = getattr(warehouse, "metrics", None)
+        metrics = warehouse.metrics
     stats = warehouse.stats()
     checks: list[dict] = []
 
@@ -137,11 +137,10 @@ def _freshness(sources, metrics, stale_after_s: float,
     out: dict[str, dict] = {}
     for source in sources:
         age = None
-        if metrics is not None:
-            last = metrics.get_gauge_value("hound.last_harvest_timestamp",
-                                           source=source)
-            if last:
-                age = max(0.0, now - last)
+        last = metrics.get_gauge_value("hound.last_harvest_timestamp",
+                                       source=source)
+        if last:
+            age = max(0.0, now - last)
         out[source] = {
             "age_s": round(age, 3) if age is not None else None,
             "stale": (age is not None and age > stale_after_s),
@@ -157,8 +156,6 @@ def _resilience(metrics) -> dict:
     """
     out = {"breakers": {}, "quarantined": {},
            "fetch_errors": {}, "retries": {}}
-    if metrics is None:
-        return out
     # lazy: obs must stay importable without the datahounds package
     from repro.resilience import BREAKER_STATE_NAMES
     for labels, value in metrics.gauge_items("transport.breaker_state"):

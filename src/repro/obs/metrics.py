@@ -243,6 +243,10 @@ class MetricsRegistry:
     ``observe`` conveniences do the lookup per call.
     """
 
+    #: the one on/off predicate of the metrics sink (False on
+    #: :class:`NullMetrics`)
+    enabled = True
+
     def __init__(self):
         self._lock = threading.Lock()
         self._counters: dict[tuple[str, LabelItems], Counter] = {}
@@ -485,7 +489,10 @@ class MetricsRegistry:
 
 class NullMetrics:
     """The off switch: same surface as :class:`MetricsRegistry`, does
-    nothing, allocates nothing per call."""
+    nothing, allocates nothing per call. Every layer holds a sink that
+    is never ``None``; this is what "off" looks like."""
+
+    enabled = False
 
     def counter(self, name: str, **labels):  # noqa: D102 - mirror API
         return _NULL_COUNTER
@@ -567,6 +574,9 @@ _NULL_TIMER = _NullMetric()
 
 _default_registry = MetricsRegistry()
 
+#: the shared off switch (stateless, so one instance serves everyone)
+NULL_METRICS = NullMetrics()
+
 
 def default_registry() -> MetricsRegistry:
     """The process-wide registry (what "always-on" records into)."""
@@ -580,7 +590,7 @@ def resolve_metrics(metrics) -> MetricsRegistry | NullMetrics:
     if metrics is None or metrics is True:
         return _default_registry
     if metrics is False:
-        return NullMetrics()
+        return NULL_METRICS
     return metrics
 
 

@@ -1,11 +1,11 @@
 """One-shot query profiling.
 
-:func:`profile_query` runs the full pipeline — parse, check, compile,
-execute (with per-statement backend recording), tag — against any
-warehouse, whether or not it was constructed with tracing, and returns
-a :class:`ProfileReport`. The warehouse's backend is swapped for an
-instrumented wrapper only for the duration of the call, so profiling a
-production warehouse adds no permanent overhead.
+:func:`profile_query` runs the warehouse's own query pipeline — parse,
+check, compile, execute (with per-statement backend recording) — plus
+tagging against any warehouse, whether or not it was constructed with
+tracing, and returns a :class:`ProfileReport`. The warehouse's backend
+is swapped for an instrumented wrapper only for the duration of the
+call, so profiling a production warehouse adds no permanent overhead.
 
 This is the engine behind ``xomatiq profile`` and
 ``reproduce.py --profile``; :func:`format_profile` renders the report
@@ -51,12 +51,17 @@ def profile_query(warehouse, text: str,
                   explain: bool = True) -> ProfileReport:
     """Profile one query against ``warehouse``.
 
+    Runs the warehouse's own pipeline (:meth:`XomatiQ.answer
+    <repro.engine.XomatiQ.answer>`) under a private tracer, then tags
+    the result inside a ``tag`` span. A warm compiled-query cache shows
+    up as a ``cache.hit`` counter on the root span and no stage spans
+    but ``tag`` — the amortization the repeated-query benchmarks
+    measure.
+
     ``explain=True`` additionally captures the engine's plan for every
     SELECT (costs an extra planner pass per statement — and on minidb a
     full extra execution — so benchmarks should pass ``False``).
     """
-    from repro.translator.execute import execute_compiled
-
     tracer = Tracer()
     inner = warehouse.backend
     if isinstance(inner, InstrumentedBackend):
@@ -68,16 +73,7 @@ def profile_query(warehouse, text: str,
     try:
         with tracer.span("query", query=text,
                          backend=instrumented.name) as root:
-            # cache-aware: a warm compiled-query cache shows up here as
-            # a `cache.hit` counter on the root span (and the absence
-            # of parse/check/compile stages) — the amortization the
-            # repeated-query benchmarks measure
-            compiled = warehouse.xomatiq.translate_in_spans(
-                text, tracer, root)
-            with tracer.span("execute") as execute_span:
-                result = execute_compiled(compiled, instrumented,
-                                          tracer=tracer)
-                execute_span.count("result_rows", len(result))
+            result, __, __ = warehouse.xomatiq.answer(text, tracer, root)
             with tracer.span("tag"):
                 result.to_xml()
     finally:

@@ -11,6 +11,11 @@ stage by stage.
 Spans are plain data (no weak references, no globals); a finished span
 tree can be kept on a :class:`~repro.results.resultset.QueryResult`,
 exported to JSON, or rendered as text long after the tracer is gone.
+
+Tracing off is :data:`NULL_TRACER`, not ``None``: every layer holds a
+tracer and opens its spans unconditionally, and the null tracer's
+``span()`` hands back one shared inert scope (about a microsecond per
+span), so there is no untraced copy of any pipeline.
 """
 
 from __future__ import annotations
@@ -22,6 +27,8 @@ import threading
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
+
+from repro.obs.metrics import NULL_METRICS
 
 #: process-unique id sequence; the 4-hex prefix keeps trace ids from
 #: two processes (e.g. test workers) from colliding in merged output
@@ -67,6 +74,31 @@ class TraceContext:
         if request_id and _REQUEST_ID_RE.match(request_id):
             return cls(trace_id=request_id, sampled=sampled)
         return cls(trace_id=new_trace_id(), sampled=sampled)
+
+
+@dataclass(slots=True)
+class StatementRecord:
+    """One executed SQL statement (or one ``executemany`` batch).
+
+    Slotted and allocation-lean: one of these is created per SQL
+    statement on a traced warehouse, which is the hottest allocation
+    site in the observability plane."""
+
+    sql: str
+    kind: str
+    param_count: int
+    row_count: int
+    duration_s: float
+    #: number of underlying statements (batch size for executemany)
+    executions: int = 1
+    #: captured EXPLAIN lines (empty unless plan capture is on)
+    plan: tuple[str, ...] = ()
+    extra: dict[str, object] | None = None
+
+    @property
+    def duration_ms(self) -> float:
+        """Wall-clock milliseconds."""
+        return self.duration_s * 1000.0
 
 
 @dataclass(slots=True)
@@ -166,8 +198,7 @@ class _SpanScope:
             counters["statements"] = (counters.get("statements", 0)
                                       + executions)
             counters["rows"] = counters.get("rows", 0) + rows
-        if tracer.metrics is not None:
-            tracer._span_seconds(span.name).observe(span.end - span.start)
+        tracer._span_seconds(span.name).observe(span.end - span.start)
         return False
 
 
@@ -186,17 +217,21 @@ class Tracer:
     thread happens to have open. The shared ``spans`` list and the
     per-thread catch-all spans are guarded by a lock.
 
-    When :attr:`metrics` is set (a
-    :class:`repro.obs.metrics.MetricsRegistry` — the warehouse wires
+    When :attr:`metrics` is a live
+    :class:`repro.obs.metrics.MetricsRegistry` (the warehouse wires
     this up when both tracing and metrics are active), every finished
     span also feeds the ``trace.span_seconds{span=...}`` histogram, so
     traces and the always-on metrics plane agree by construction.
     """
 
+    #: the one on/off predicate of the tracing sink (False on
+    #: :class:`NullTracer`)
+    enabled = True
+
     def __init__(self, clock: Callable[[], float] = time.perf_counter,
-                 metrics=None, max_spans: int | None = None):
+                 metrics=NULL_METRICS, max_spans: int | None = None):
         self.clock = clock
-        #: optional MetricsRegistry fed one sample per finished span
+        #: MetricsRegistry fed one sample per finished span
         self.metrics = metrics
         #: bound on retained top-level spans (None = unbounded); a
         #: long-running service must set this or ``spans`` grows with
@@ -281,6 +316,13 @@ class Tracer:
         stack.append(span)
         return _SpanScope(self, span, stack)
 
+    def adopt_metrics(self, metrics) -> None:
+        """Feed ``trace.span_seconds`` into ``metrics`` unless this
+        tracer already feeds a live registry (a tracer shared across
+        warehouses keeps the first one it was given)."""
+        if not self.metrics.enabled:
+            self.metrics = metrics
+
     def _span_seconds(self, name: str):
         """The live ``trace.span_seconds{span=name}`` handle, cached
         per name (and rebuilt if :attr:`metrics` is swapped out)."""
@@ -301,13 +343,21 @@ class Tracer:
             span = self._untracked_span()
         span.count(name, amount)
 
-    def record_statement(self, record) -> None:
-        """Attach one backend statement record to the current span.
+    def record_statement(self, sql: str, kind: str, param_count: int,
+                         row_count: int, duration_s: float,
+                         executions: int = 1,
+                         plan: tuple[str, ...] = ()) -> None:
+        """Attach one backend statement, as a :class:`StatementRecord`,
+        to the current span. The record is built here rather than by
+        the caller, so :class:`NullTracer` never allocates one.
 
         For open stack spans this is append-only — the ``statements``
         / ``rows`` counters are rolled up once when the span closes
         (see :class:`_SpanScope`). The catch-all ``(untracked)`` span
         has no close, so it counts eagerly."""
+        # positional construction: this runs once per statement
+        record = StatementRecord(sql, kind, param_count, row_count,
+                                 duration_s, executions, plan)
         stack = getattr(self._local, "stack", None)
         if stack:
             stack[-1].statements.append(record)
@@ -347,3 +397,85 @@ class Tracer:
                 self.spans.append(span)
                 self._untracked_spans.append(span)
         return span
+
+
+class _NullSpan:
+    """What every :class:`NullTracer` scope yields: it takes counts and
+    annotations and keeps none. ``meta`` and ``counters`` hand out a
+    fresh dict per access, so writes never pile up on the shared
+    instance."""
+
+    __slots__ = ()
+    trace_id = ""
+    duration_s = 0.0
+
+    @property
+    def meta(self) -> dict:
+        return {}
+
+    @property
+    def counters(self) -> dict:
+        return {}
+
+    def count(self, name: str, amount: int = 1) -> None:
+        pass
+
+
+class _NullScope:
+    """The one shared context manager of :meth:`NullTracer.span`."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> _NullSpan:
+        return _NULL_SPAN
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        return False
+
+
+_NULL_SPAN = _NullSpan()
+_NULL_SCOPE = _NullScope()
+
+
+class NullTracer:
+    """Tracing off: the part of the :class:`Tracer` surface the layers
+    call, recording nothing.
+
+    Use the :data:`NULL_TRACER` singleton. It has no instance state
+    (``__slots__ = ()``), so nothing can be attached to it by mistake;
+    :meth:`Warehouse.enable_tracing
+    <repro.engine.Warehouse.enable_tracing>` is where a real tracer
+    replaces it.
+    """
+
+    __slots__ = ()
+    enabled = False
+    spans: tuple = ()
+
+    def span(self, name: str, parent=None, context=None,
+             **meta) -> _NullScope:
+        return _NULL_SCOPE
+
+    def adopt_metrics(self, metrics) -> None:
+        pass
+
+    def record_statement(self, sql: str, kind: str, param_count: int,
+                         row_count: int, duration_s: float,
+                         executions: int = 1,
+                         plan: tuple[str, ...] = ()) -> None:
+        pass
+
+
+NULL_TRACER = NullTracer()
+
+
+def resolve_tracer(trace) -> "Tracer | NullTracer":
+    """Normalize a user-facing ``trace`` argument (the
+    :func:`~repro.obs.metrics.resolve_metrics` counterpart): ``None``/
+    ``False`` → :data:`NULL_TRACER`, ``True`` → a fresh :class:`Tracer`,
+    a tracer → itself."""
+    if trace is None or trace is False:
+        return NULL_TRACER
+    if trace is True:
+        return Tracer()
+    return trace

@@ -34,7 +34,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.obs.export import span_to_dict
+from repro.obs.export import _jsonable, span_to_dict
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.trace import Span
@@ -178,14 +178,6 @@ def trace_to_dict(record: TraceRecord) -> dict:
     }
 
 
-def _arg(value) -> object:
-    """Chrome trace args must be JSON primitives; anything exotic (an
-    exception object, a Path) degrades to its string form."""
-    if value is None or isinstance(value, (str, int, float, bool)):
-        return value
-    return str(value)
-
-
 def chrome_trace(record: TraceRecord) -> dict:
     """The trace as Chrome ``trace_event`` JSON (about:tracing /
     Perfetto). Each span is a complete ("X") event; timestamps are
@@ -213,7 +205,8 @@ def chrome_trace(record: TraceRecord) -> dict:
             "dur": round((end - span.start) * 1e6, 1),
             "pid": 1,
             "tid": tid,
-            "args": {k: _arg(v) for k, v in args.items()},
+            # Chrome trace args must be JSON primitives
+            "args": {k: _jsonable(v) for k, v in args.items()},
         })
     for ident, tid in tids.items():
         events.append({

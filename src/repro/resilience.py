@@ -24,13 +24,21 @@ whole retry/breaker/hedge state space testable in microseconds: code
 under test takes ``clock=``/``sleep=`` parameters, tests pass the same
 :class:`ManualClock` for both, and "waiting" becomes instantaneous and
 fully deterministic.
+
+:class:`FaultSchedule` is the seeded fault schedule both planes inject
+from: :class:`~repro.datahounds.faults.FaultPlan` per fetched source,
+:class:`~repro.federation.chaos.ChaosPlan` per shard backend.
 """
 
 from __future__ import annotations
 
 import hashlib
+import random
 import time
 from dataclasses import dataclass
+from typing import ClassVar
+
+from repro.obs.metrics import NULL_METRICS
 
 #: breaker states, and their numeric codes on breaker-state gauges
 CLOSED = "closed"
@@ -104,7 +112,7 @@ class CircuitBreaker:
 
     def __init__(self, source: str, failure_threshold: int = 5,
                  cooldown_s: float = 30.0, clock=time.monotonic,
-                 metrics=None, events=None,
+                 metrics=NULL_METRICS, events=None,
                  gauge: str = "transport.breaker_state",
                  label: str = "source",
                  event_prefix: str = "transport.breaker"):
@@ -114,7 +122,7 @@ class CircuitBreaker:
         self.failure_threshold = failure_threshold
         self.cooldown_s = cooldown_s
         self.clock = clock
-        self.metrics = metrics
+        self.metrics = NULL_METRICS if metrics is None else metrics
         self.events = events
         self.gauge = gauge
         self.label = label
@@ -178,10 +186,8 @@ class CircuitBreaker:
                              **{self.label: self.source})
 
     def _publish_state(self) -> None:
-        if self.metrics is not None:
-            self.metrics.set_gauge(self.gauge,
-                                   BREAKER_STATE_CODES[self.state],
-                                   **{self.label: self.source})
+        self.metrics.set_gauge(self.gauge, BREAKER_STATE_CODES[self.state],
+                               **{self.label: self.source})
 
 
 class ManualClock:
@@ -208,3 +214,89 @@ class ManualClock:
 
     def advance(self, seconds: float) -> None:
         self.now += seconds
+
+
+class FaultRates:
+    """Validation shared by the per-key fault specs (a dataclass mixin).
+
+    A spec carries a ``script`` of explicit outcomes, consumed first,
+    and one ``<kind>_rate`` field per kind in :attr:`RATE_ORDER`. Once
+    the script is exhausted, outcomes are drawn by checking those rates
+    cumulatively in that order. Rates must sum to <= 1, and a script
+    may name only those kinds or ``"ok"``.
+    """
+
+    RATE_ORDER: ClassVar[tuple[str, ...]] = ()
+
+    def __post_init__(self):
+        total = sum(getattr(self, f"{kind}_rate")
+                    for kind in self.RATE_ORDER)
+        if total > 1.0 + 1e-9:
+            raise ValueError(f"fault rates sum to {total}, must be <= 1")
+        for kind in self.script:
+            if kind not in self.RATE_ORDER and kind != "ok":
+                raise ValueError(f"unknown scripted fault {kind!r}")
+
+
+class FaultSchedule:
+    """Seedable, per-key fault schedule of :class:`FaultRates` specs.
+
+    One RNG per key, seeded from ``f"{seed}:{key}"``, keeps each key's
+    fault sequence independent of how events interleave across keys:
+    harvesting sources or scattering subqueries in a different order
+    replays identical per-key faults. :meth:`reset` re-arms scripts and
+    RNGs so the same plan object can drive a byte-identical second run.
+    Subclasses name the keys and build the specs.
+    """
+
+    def __init__(self, seed: int = 0):
+        self.seed = seed
+        self._specs: dict[str, FaultRates] = {}
+        self._cursors: dict[str, int] = {}
+        self._rngs: dict[str, random.Random] = {}
+        #: injected fault counts: (key, kind) -> count
+        self.injected: dict[tuple[str, str], int] = {}
+
+    def spec_for(self, key: str):
+        """The spec governing one key (wildcard ``"*"`` fallback)."""
+        spec = self._specs.get(key)
+        return spec if spec is not None else self._specs.get("*")
+
+    def next_outcome(self, key: str) -> str:
+        """The fault (or ``"ok"``) for this key's next event."""
+        spec = self.spec_for(key)
+        if spec is None:
+            return "ok"
+        cursor = self._cursors.get(key, 0)
+        if cursor < len(spec.script):
+            self._cursors[key] = cursor + 1
+            outcome = spec.script[cursor]
+        else:
+            roll = self._rng(key).random()
+            outcome = "ok"
+            threshold = 0.0
+            for kind in spec.RATE_ORDER:
+                threshold += getattr(spec, f"{kind}_rate")
+                if roll < threshold:
+                    outcome = kind
+                    break
+        if outcome != "ok":
+            counted = (key, outcome)
+            self.injected[counted] = self.injected.get(counted, 0) + 1
+        return outcome
+
+    def reset(self) -> None:
+        """Re-arm every script and RNG (identical replay)."""
+        self._cursors.clear()
+        self._rngs.clear()
+        self.injected.clear()
+
+    def injected_total(self) -> int:
+        """Total faults injected since construction/reset."""
+        return sum(self.injected.values())
+
+    def _rng(self, key: str) -> random.Random:
+        rng = self._rngs.get(key)
+        if rng is None:
+            rng = self._rngs[key] = random.Random(f"{self.seed}:{key}")
+        return rng

@@ -153,14 +153,12 @@ class QueryService:
 
     def __init__(self, engine, config: ServiceConfig | None = None,
                  events=None):
-        from repro.obs import EventLog, NullMetrics
+        from repro.obs import NULL_TRACER, EventLog
         self.engine = engine
         self.config = config or ServiceConfig()
         self.federated = not isinstance(engine, Warehouse) \
             and hasattr(engine, "catalog")
         self.metrics = engine.metrics
-        self._metrics_sink = (None if isinstance(self.metrics, NullMetrics)
-                              else self.metrics)
         self.events = events if events is not None else \
             getattr(engine, "events", None) or EventLog()
         self.admission = AdmissionController(self.config.max_in_flight)
@@ -177,13 +175,9 @@ class QueryService:
                 sample_rate=self.config.trace_sample,
                 slow_ms=self.config.trace_slow_ms)
         else:
-            self.tracer = None
+            self.tracer = NULL_TRACER
             self.trace_store = None
-        if self._metrics_sink is not None:
-            self._in_flight_gauge = self._metrics_sink.gauge(
-                "service.in_flight")
-        else:
-            self._in_flight_gauge = None
+        self._in_flight_gauge = self.metrics.gauge("service.in_flight")
         #: one harvest at a time — concurrent mirror pulls into one
         #: warehouse would interleave release snapshots
         self._harvest_lock = threading.Lock()
@@ -218,50 +212,44 @@ class QueryService:
         request_id = context.trace_id
         gated = endpoint not in _UNGATED and endpoint != "unknown"
         admitted = False
-        root = span_cm = None
-        if self.tracer is not None:
-            span_cm = self.tracer.span("request", context=context,
-                                       endpoint=endpoint, method=method,
-                                       path=path)
-            root = span_cm.__enter__()
-        try:
-            refusal = None
-            if gated:
-                admitted, refusal = self._admit(client_id)
-            if refusal == "rate_limit":
-                response = self._reject(429, "rate limit exceeded",
-                                        "rate_limit", client_id,
-                                        request_id)
-            elif refusal == "capacity":
-                response = self._reject(503, "service at capacity",
-                                        "capacity", client_id,
-                                        request_id)
-            else:
-                if self._in_flight_gauge is not None and admitted:
+        with self.tracer.span("request", context=context,
+                              endpoint=endpoint, method=method,
+                              path=path) as root:
+            try:
+                refusal = None
+                if gated:
+                    admitted, refusal = self._admit(client_id)
+                if refusal == "rate_limit":
+                    response = self._reject(429, "rate limit exceeded",
+                                            "rate_limit", client_id,
+                                            request_id)
+                elif refusal == "capacity":
+                    response = self._reject(503, "service at capacity",
+                                            "capacity", client_id,
+                                            request_id)
+                else:
+                    if admitted:
+                        self._in_flight_gauge.set(self.admission.in_flight)
+                    response = self._dispatch(endpoint, tail, method,
+                                              params, body, headers or {})
+            except UnknownDocumentError as exc:
+                response = _error(404, exc)
+            except ReproError as exc:
+                response = _error(400, exc)
+            except Exception as exc:   # one bad request must not kill a node
+                response = _error(500, exc)
+            finally:
+                if admitted:
+                    self.admission.release()
                     self._in_flight_gauge.set(self.admission.in_flight)
-                response = self._dispatch(endpoint, tail, method,
-                                          params, body, headers or {})
-        except UnknownDocumentError as exc:
-            response = _error(404, exc)
-        except ReproError as exc:
-            response = _error(400, exc)
-        except Exception as exc:   # one bad request must not kill a node
-            response = _error(500, exc)
-        finally:
-            if admitted:
-                self.admission.release()
-                if self._in_flight_gauge is not None:
-                    self._in_flight_gauge.set(self.admission.in_flight)
-            if span_cm is not None:
-                span_cm.__exit__(None, None, None)
         response.headers.setdefault("X-Request-Id", request_id)
         kept = None
-        if root is not None:
+        if self.tracer.enabled:
             response.headers.setdefault("X-Trace-Id", context.trace_id)
             root.meta["status"] = response.status
             # /traces requests are not offered to the store — the trace
             # CLI polling for traces must not become the newest trace
-            if self.trace_store is not None and endpoint != "traces":
+            if endpoint != "traces":
                 kept = self.trace_store.offer(
                     root, request_id=request_id, endpoint=endpoint,
                     status=response.status,
@@ -276,8 +264,6 @@ class QueryService:
     def _admit(self, client_id: str) -> tuple[bool, str | None]:
         """Both gates, under an ``admission`` span when tracing — a
         shed request's trace shows *where* it was turned away."""
-        if self.tracer is None:
-            return decide(self.rate_limiter, self.admission, client_id)
         with self.tracer.span("admission", client=client_id) as span:
             admitted, refusal = decide(self.rate_limiter,
                                        self.admission, client_id)
@@ -380,8 +366,7 @@ class QueryService:
             # strict callers would rather retry than act on a partial
             # answer; Retry-After matches the breaker cooldown — by
             # then the shard has either probed healthy or stayed open
-            if self._metrics_sink is not None:
-                self._metrics_sink.inc("service.strict_refusals")
+            self.metrics.inc("service.strict_refusals")
             return Response(503, {
                 "error": "partial results refused (mode=strict)",
                 "reason": "degraded",
@@ -391,8 +376,7 @@ class QueryService:
         degraded_headers = {}
         if not result.complete:
             degraded_headers["X-Partial-Results"] = "true"
-            if self._metrics_sink is not None:
-                self._metrics_sink.inc("service.partial_responses")
+            self.metrics.inc("service.partial_responses")
         if fmt == "xml":
             return Response(200, body=result.to_xml().encode("utf-8"),
                             content_type=XML_CONTENT_TYPE,
@@ -620,8 +604,7 @@ class QueryService:
         persist = bool(request.get("persist", True))
         subscription = self.subscriptions.subscribe(
             text, policy=policy, persist=persist)
-        if self._metrics_sink is not None:
-            self._metrics_sink.inc("service.subscriptions_created")
+        self.metrics.inc("service.subscriptions_created")
         self.events.emit("service.subscription_created",
                          sub_id=subscription.id, policy=policy)
         return Response(201, subscription.as_record())
@@ -714,8 +697,7 @@ class QueryService:
 
     def _reject(self, status: int, message: str, reason: str,
                 client: str, request_id: str = "") -> Response:
-        if self._metrics_sink is not None:
-            self._metrics_sink.inc("service.rejected", reason=reason)
+        self.metrics.inc("service.rejected", reason=reason)
         self.events.emit("service.rejected", severity="warning",
                          reason=reason, client=client,
                          request_id=request_id)
@@ -727,14 +709,12 @@ class QueryService:
     def _observe(self, endpoint: str, method: str, path: str,
                  status: int, duration_s: float, client: str,
                  request_id: str = "", trace_id: str = "") -> None:
-        if self._metrics_sink is not None:
-            self._metrics_sink.inc("service.requests",
-                                   endpoint=endpoint, status=status)
-            # a kept trace id rides along as the histogram exemplar, so
-            # a slow bucket links straight to the trace that filled it
-            self._metrics_sink.observe("service.request_seconds",
-                                       duration_s, endpoint=endpoint,
-                                       exemplar=trace_id or None)
+        self.metrics.inc("service.requests", endpoint=endpoint,
+                         status=status)
+        # a kept trace id rides along as the histogram exemplar, so a
+        # slow bucket links straight to the trace that filled it
+        self.metrics.observe("service.request_seconds", duration_s,
+                             endpoint=endpoint, exemplar=trace_id or None)
         self.events.emit("service.request",
                          severity="warning" if status >= 500 else "info",
                          method=method, path=path, status=status,

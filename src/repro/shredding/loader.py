@@ -20,13 +20,13 @@ import json
 import re
 import threading
 from collections import Counter
-from contextlib import nullcontext
 from time import perf_counter
 from typing import Callable, Iterable
 
 from repro.errors import StorageError
 
-from repro.obs.metrics import SIZE_BUCKETS
+from repro.obs.metrics import NULL_METRICS, SIZE_BUCKETS
+from repro.obs.trace import NULL_TRACER
 
 from repro.relational.backend import Backend
 from repro.relational.schema import (
@@ -96,17 +96,17 @@ class WarehouseLoader:
                  options: SchemaOptions = SchemaOptions(),
                  sequence_tags: frozenset[str] = DEFAULT_SEQUENCE_TAGS,
                  create: bool = True,
-                 tracer=None,
-                 metrics=None,
+                 tracer=NULL_TRACER,
+                 metrics=NULL_METRICS,
                  bulk_batch_size: int = 512):
         self.backend = backend
         self.options = options
         self.sequence_tags = sequence_tags
-        #: optional :class:`repro.obs.Tracer`; when set, sessions record
-        #: per-table row counts on their flush spans
+        #: :class:`repro.obs.Tracer`; sessions record per-table row
+        #: counts on their flush spans
         self.tracer = tracer
-        #: optional :class:`repro.obs.MetricsRegistry` — the always-on
-        #: plane: documents/rows-per-table counters, flush timings,
+        #: :class:`repro.obs.MetricsRegistry` — the always-on plane:
+        #: documents/rows-per-table counters, flush timings,
         #: deferred-index rebuild counts
         self.metrics = metrics
         #: default documents per flush for :meth:`bulk_session`
@@ -356,9 +356,7 @@ class BulkLoadSession:
         metrics = self.loader.metrics
         backend = self.loader.backend
         start = perf_counter()
-        span_context = (tracer.span("flush", batch=len(pending))
-                        if tracer is not None else nullcontext(None))
-        with span_context as span:
+        with tracer.span("flush", batch=len(pending)) as span:
             keys = [key for key, __ in pending]
             if self._warehouse_was_empty:
                 flushed = self._flushed_keys
@@ -376,20 +374,15 @@ class BulkLoadSession:
                 rows = merged[table]
                 if rows:
                     backend.executemany(INSERT_STATEMENTS[table], rows)
-                    if span is not None:
-                        span.count(f"rows.{table}", len(rows))
-                    if metrics is not None:
-                        metrics.inc("load.rows", len(rows), table=table)
-            if span is not None:
-                span.count("documents", len(pending))
-        if metrics is not None:
-            metrics.inc("load.flushes")
-            for source, count in Counter(
-                    key[0] for key, __ in pending).items():
-                metrics.inc("load.documents", count, source=source)
-            metrics.observe("load.flush_seconds", perf_counter() - start)
-            metrics.observe("load.batch_documents", len(pending),
-                            buckets=SIZE_BUCKETS)
+                    span.count(f"rows.{table}", len(rows))
+                    metrics.inc("load.rows", len(rows), table=table)
+            span.count("documents", len(pending))
+        metrics.inc("load.flushes")
+        for source, count in Counter(key[0] for key, __ in pending).items():
+            metrics.inc("load.documents", count, source=source)
+        metrics.observe("load.flush_seconds", perf_counter() - start)
+        metrics.observe("load.batch_documents", len(pending),
+                        buckets=SIZE_BUCKETS)
         self.flushes += 1
         self._clear_pending()
         return len(pending)
@@ -481,18 +474,15 @@ class BulkLoadSession:
         metrics = self.loader.metrics
         backend = self.loader.backend
         start = perf_counter()
-        span_context = (tracer.span("index_rebuild")
-                        if tracer is not None else nullcontext(None))
-        with span_context:
+        with tracer.span("index_rebuild"):
             # drop first: after a failed commit, sqlite has rolled an
             # earlier rebuild back but minidb has kept it
             for name, statement in zip(_INDEX_NAMES, CREATE_INDEXES):
                 backend.execute(f"DROP INDEX IF EXISTS {name}")
                 backend.execute(statement)
-        if metrics is not None:
-            metrics.inc("load.index_rebuilds")
-            metrics.observe("load.index_rebuild_seconds",
-                            perf_counter() - start)
+        metrics.inc("load.index_rebuilds")
+        metrics.observe("load.index_rebuild_seconds",
+                        perf_counter() - start)
 
     def _delete_existing(self, keys: list[tuple[str, str]]) -> None:
         """Batched entry delete: one IN-list lookup per chunk of entry

@@ -38,6 +38,9 @@ import threading
 from collections import deque
 from time import perf_counter, time as wall_time
 
+from repro.obs.metrics import NULL_METRICS
+from repro.obs.trace import NULL_TRACER, TraceContext
+
 from repro.subscriptions.delta import KeyedDelta
 
 POLICIES = ("block", "drop_oldest", "coalesce")
@@ -67,13 +70,13 @@ class DeliveryBus:
     """
 
     def __init__(self, workers: int = 2, queue_max: int = 64,
-                 metrics=None, events=None, tracer_provider=None):
+                 metrics=NULL_METRICS, events=None,
+                 tracer_provider=lambda: NULL_TRACER):
         self.queue_max = max(1, queue_max)
         self._metrics = metrics
         self._events = events
-        #: zero-arg callable returning the current tracer (or None) —
-        #: late-bound because ``enable_tracing`` may run after the bus
-        #: is built
+        #: zero-arg callable returning the current tracer — late-bound
+        #: because ``enable_tracing`` may run after the bus is built
         self._tracer_provider = tracer_provider
         self._cond = threading.Condition()
         self._queues: dict[str, _SubscriberQueue] = {}
@@ -141,16 +144,14 @@ class DeliveryBus:
                 old, enqueued_at = queue.items[-1]
                 queue.items[-1] = (old.merge(delta), enqueued_at)
                 queue.coalesced += 1
-                if self._metrics is not None:
-                    self._metrics.inc("subscriptions.coalesced")
+                self._metrics.inc("subscriptions.coalesced")
                 return True
             if len(queue.items) >= queue.limit:
                 if queue.policy == "drop_oldest":
                     queue.items.popleft()
                     self._pending -= 1
                     queue.dropped += 1
-                    if self._metrics is not None:
-                        self._metrics.inc("subscriptions.dropped")
+                    self._metrics.inc("subscriptions.dropped")
                 else:   # block: lossless by choice, couples to consumer
                     while (len(queue.items) >= queue.limit
                            and not self._closed
@@ -238,44 +239,33 @@ class DeliveryBus:
 
     def _deliver(self, subscriber_id: str, queue: _SubscriberQueue,
                  delta: KeyedDelta, enqueued_at: float) -> None:
-        if self._metrics is not None:
-            self._metrics.observe("subscriptions.lag_seconds",
-                                  max(0.0, wall_time() - enqueued_at))
-        tracer = (self._tracer_provider()
-                  if self._tracer_provider is not None else None)
-        span_cm = None
-        if tracer is not None and delta.trace_id:
-            from repro.obs.trace import TraceContext
-            span_cm = tracer.span(
-                "subscription.delivery",
-                context=TraceContext(trace_id=delta.trace_id),
-                subscriber=subscriber_id, origin=delta.origin,
-                added=len(delta.added), removed=len(delta.removed))
-            span_cm.__enter__()
-        start = perf_counter()
-        try:
-            queue.callback(delta)
-        except Exception as exc:   # noqa: BLE001 - isolate subscribers
-            queue.failed += 1
-            if self._metrics is not None:
+        self._metrics.observe("subscriptions.lag_seconds",
+                              max(0.0, wall_time() - enqueued_at))
+        # a delta from a traced harvest round is delivered inside that
+        # round's trace; an untraced round's delta opens no span
+        tracer = self._tracer_provider() if delta.trace_id else NULL_TRACER
+        with tracer.span("subscription.delivery",
+                         context=TraceContext(trace_id=delta.trace_id),
+                         subscriber=subscriber_id, origin=delta.origin,
+                         added=len(delta.added),
+                         removed=len(delta.removed)):
+            start = perf_counter()
+            try:
+                queue.callback(delta)
+            except Exception as exc:   # noqa: BLE001 - isolate subscribers
+                queue.failed += 1
                 self._metrics.inc("subscriptions.delivery_failed")
-            if self._events is not None:
-                self._events.emit("subscriptions.delivery_failed",
-                                  severity="error",
-                                  subscriber=subscriber_id,
-                                  error_type=type(exc).__name__,
-                                  error=str(exc))
-        else:
-            queue.delivered += 1
-            if self._metrics is not None:
+                if self._events is not None:
+                    self._events.emit("subscriptions.delivery_failed",
+                                      severity="error",
+                                      subscriber=subscriber_id,
+                                      error_type=type(exc).__name__,
+                                      error=str(exc))
+            else:
+                queue.delivered += 1
                 self._metrics.inc("subscriptions.deliveries")
                 self._metrics.observe("subscriptions.delivery_seconds",
                                       perf_counter() - start)
-        finally:
-            if span_cm is not None:
-                span_cm.__exit__(None, None, None)
 
     def _set_depth(self) -> None:
-        if self._metrics is not None:
-            self._metrics.set_gauge("subscriptions.queue_depth",
-                                    self._pending)
+        self._metrics.set_gauge("subscriptions.queue_depth", self._pending)

@@ -120,7 +120,7 @@ class StandingEvaluation:
         #: benchmark reads these to compare the two paths)
         self.full_seconds = 0.0
         self.incremental_seconds = 0.0
-        self._metrics = getattr(warehouse, "_metrics_sink", None)
+        self._metrics = warehouse.metrics
 
     # -- public API ---------------------------------------------------------
 
@@ -139,21 +139,17 @@ class StandingEvaluation:
             delta = self._refresh_full(event)
             self.full_refreshes += 1
             self.full_seconds += perf_counter() - start
-            if self._metrics is not None:
-                self._metrics.inc("subscriptions.full_refreshes")
+            self._metrics.inc("subscriptions.full_refreshes")
         else:
             self.incremental_refreshes += 1
             self.incremental_seconds += perf_counter() - start
-            if self._metrics is not None:
-                self._metrics.inc("subscriptions.incremental_refreshes")
+            self._metrics.inc("subscriptions.incremental_refreshes")
         self.refreshes += 1
-        if self._metrics is not None:
-            self._metrics.inc("subscriptions.refreshes")
-            self._metrics.observe("subscriptions.refresh_seconds",
-                                  perf_counter() - start)
-            self._metrics.inc("subscriptions.rows_added", len(delta.added))
-            self._metrics.inc("subscriptions.rows_removed",
-                              len(delta.removed))
+        self._metrics.inc("subscriptions.refreshes")
+        self._metrics.observe("subscriptions.refresh_seconds",
+                              perf_counter() - start)
+        self._metrics.inc("subscriptions.rows_added", len(delta.added))
+        self._metrics.inc("subscriptions.rows_removed", len(delta.removed))
         return delta
 
     def refresh_full(self, event: ChangeEvent | None = None) -> KeyedDelta:
@@ -163,14 +159,12 @@ class StandingEvaluation:
         self.refreshes += 1
         self.full_refreshes += 1
         self.full_seconds += perf_counter() - start
-        if self._metrics is not None:
-            self._metrics.inc("subscriptions.refreshes")
-            self._metrics.inc("subscriptions.full_refreshes")
-            self._metrics.observe("subscriptions.refresh_seconds",
-                                  perf_counter() - start)
-            self._metrics.inc("subscriptions.rows_added", len(delta.added))
-            self._metrics.inc("subscriptions.rows_removed",
-                              len(delta.removed))
+        self._metrics.inc("subscriptions.refreshes")
+        self._metrics.inc("subscriptions.full_refreshes")
+        self._metrics.observe("subscriptions.refresh_seconds",
+                              perf_counter() - start)
+        self._metrics.inc("subscriptions.rows_added", len(delta.added))
+        self._metrics.inc("subscriptions.rows_removed", len(delta.removed))
         return delta
 
     @property
@@ -269,8 +263,7 @@ class StandingEvaluation:
         self.last_result = QueryResult(
             columns=self._columns, variables=self._variables,
             rows=[current[key] for key in sorted(current)])
-        if self._metrics is not None:
-            self._metrics.observe("subscriptions.delta_keys", len(touched))
+        self._metrics.observe("subscriptions.delta_keys", len(touched))
         return delta
 
     # -- helpers ------------------------------------------------------------

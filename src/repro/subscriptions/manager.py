@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 
 from repro.datahounds.triggers import ChangeEvent
 from repro.errors import ReproError, StorageError
+from repro.obs.trace import NULL_TRACER, TraceContext
 from repro.subscriptions.bus import POLICIES, DeliveryBus
 from repro.subscriptions.delta import KeyedDelta
 from repro.subscriptions.ivm import DEFAULT_MAX_DELTA_KEYS, StandingEvaluation
@@ -151,7 +152,7 @@ class SubscriptionManager:
                  incremental: bool = True,
                  persist: bool = True, restore: bool = True):
         self.warehouse = warehouse
-        self._metrics = getattr(warehouse, "_metrics_sink", None)
+        self._metrics = warehouse.metrics
         self._events = getattr(warehouse, "events", None)
         self.channel_capacity = channel_capacity
         self.incremental_max_keys = incremental_max_keys
@@ -160,7 +161,7 @@ class SubscriptionManager:
         self.bus = bus if bus is not None else DeliveryBus(
             workers=workers, queue_max=queue_max,
             metrics=self._metrics, events=self._events,
-            tracer_provider=lambda: getattr(warehouse, "tracer", None))
+            tracer_provider=lambda: warehouse.tracer)
         self._lock = threading.RLock()
         self._evaluations: dict[str, StandingEvaluation] = {}
         self._eval_locks: dict[str, threading.Lock] = {}
@@ -286,26 +287,19 @@ class SubscriptionManager:
                  list(self._by_query.get(text, ())))
                 for text in self._evaluations
                 if self._evaluations[text].watches(event.source)]
-        tracer = getattr(self.warehouse, "tracer", None)
+        # a traced harvest round's refreshes join its trace; an untraced
+        # round's open no spans
+        tracer = self.warehouse.tracer if event.trace_id else NULL_TRACER
+        context = TraceContext(trace_id=event.trace_id)
         for text, evaluation, eval_lock, subscriber_ids in watching:
-            span_cm = root = None
-            if tracer is not None and event.trace_id:
-                from repro.obs.trace import TraceContext
-                span_cm = tracer.span(
-                    "subscriptions.refresh",
-                    context=TraceContext(trace_id=event.trace_id),
-                    source=event.source, subscribers=len(subscriber_ids))
-                root = span_cm.__enter__()
-            try:
+            with tracer.span("subscriptions.refresh", context=context,
+                             source=event.source,
+                             subscribers=len(subscriber_ids)) as root:
                 with eval_lock:
                     delta = evaluation.apply(event)
-                if root is not None:
-                    root.meta["origin"] = delta.origin
-                    root.count("rows_added", len(delta.added))
-                    root.count("rows_removed", len(delta.removed))
-            finally:
-                if span_cm is not None:
-                    span_cm.__exit__(None, None, None)
+                root.meta["origin"] = delta.origin
+                root.count("rows_added", len(delta.added))
+                root.count("rows_removed", len(delta.removed))
             if delta.changed and subscriber_ids:
                 self.bus.publish(subscriber_ids, delta)
 
@@ -361,11 +355,10 @@ class SubscriptionManager:
     # -- observability ------------------------------------------------------
 
     def _set_active(self) -> None:
-        if self._metrics is not None:
-            self._metrics.set_gauge("subscriptions.active",
-                                    len(self._subscribers))
-            self._metrics.set_gauge("subscriptions.standing_queries",
-                                    len(self._evaluations))
+        self._metrics.set_gauge("subscriptions.active",
+                                len(self._subscribers))
+        self._metrics.set_gauge("subscriptions.standing_queries",
+                                len(self._evaluations))
 
     def stats(self) -> dict:
         """Manager + bus counters (the service's operator view)."""

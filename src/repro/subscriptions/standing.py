@@ -54,7 +54,7 @@ class QuerySubscription:
                                               incremental=incremental)
         self.sources = list(self._evaluation.sources)
         self.deliveries = 0
-        self._metrics = getattr(warehouse, "_metrics_sink", None)
+        self._metrics = warehouse.metrics
         for source in self.sources:
             hound.subscribe(self._handle_event, source)
 
@@ -99,10 +99,9 @@ class QuerySubscription:
             start = perf_counter()
             self.on_change(delta)
             self.deliveries += 1
-            if self._metrics is not None:
-                self._metrics.inc("subscriptions.deliveries")
-                self._metrics.observe("subscriptions.delivery_seconds",
-                                      perf_counter() - start)
+            self._metrics.inc("subscriptions.deliveries")
+            self._metrics.observe("subscriptions.delivery_seconds",
+                                  perf_counter() - start)
 
     def cancel(self) -> None:
         """Stop receiving triggers."""

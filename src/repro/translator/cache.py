@@ -42,6 +42,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 
+from repro.obs.metrics import NULL_METRICS
 from repro.translator.compile import CompiledQuery
 
 #: cache key: (query text, backend dialect, sequence_tags)
@@ -51,13 +52,13 @@ CacheKey = tuple[str, str, frozenset]
 class CompiledQueryCache:
     """A bounded LRU of ``(generation, CompiledQuery)`` entries.
 
-    With a :class:`repro.obs.MetricsRegistry` attached, every hit /
+    With a live :class:`repro.obs.MetricsRegistry`, every hit /
     miss / eviction / invalidation also bumps the always-on
     ``query_cache.*`` counters and the cache size gauge, so cache
     behaviour shows up in ``xomatiq metrics`` without a profiler run.
     """
 
-    def __init__(self, maxsize: int = 128, metrics=None):
+    def __init__(self, maxsize: int = 128, metrics=NULL_METRICS):
         if maxsize < 1:
             raise ValueError("maxsize must be >= 1")
         self.maxsize = maxsize
@@ -69,18 +70,12 @@ class CompiledQueryCache:
         self.evictions = 0
         #: entries dropped because the catalog generation moved on
         self.invalidations = 0
-        if metrics is not None:
-            self._hit_counter = metrics.counter("query_cache.hits")
-            self._miss_counter = metrics.counter("query_cache.misses")
-            self._eviction_counter = metrics.counter(
-                "query_cache.evictions")
-            self._invalidation_counter = metrics.counter(
-                "query_cache.invalidations")
-            self._size_gauge = metrics.gauge("query_cache.size")
-        else:
-            self._hit_counter = self._miss_counter = None
-            self._eviction_counter = self._invalidation_counter = None
-            self._size_gauge = None
+        self._hit_counter = metrics.counter("query_cache.hits")
+        self._miss_counter = metrics.counter("query_cache.misses")
+        self._eviction_counter = metrics.counter("query_cache.evictions")
+        self._invalidation_counter = metrics.counter(
+            "query_cache.invalidations")
+        self._size_gauge = metrics.gauge("query_cache.size")
 
     def __len__(self) -> int:
         with self._lock:
@@ -111,14 +106,12 @@ class CompiledQueryCache:
                     outcome = "hit"
         # metric handles have their own locks; update them outside ours
         if outcome == "hit":
-            if self._hit_counter is not None:
-                self._hit_counter.inc()
+            self._hit_counter.inc()
             return compiled
-        if self._miss_counter is not None:
-            self._miss_counter.inc()
-            if outcome == "stale":
-                self._invalidation_counter.inc()
-                self._size_gauge.set(size)
+        self._miss_counter.inc()
+        if outcome == "stale":
+            self._invalidation_counter.inc()
+            self._size_gauge.set(size)
         return None
 
     def put(self, text: str, dialect: str, sequence_tags: frozenset,
@@ -134,10 +127,9 @@ class CompiledQueryCache:
                 self.evictions += 1
                 evicted += 1
             size = len(self._entries)
-        if evicted and self._eviction_counter is not None:
+        if evicted:
             self._eviction_counter.inc(evicted)
-        if self._size_gauge is not None:
-            self._size_gauge.set(size)
+        self._size_gauge.set(size)
 
     def clear(self) -> None:
         """Drop every entry (counters are kept)."""

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from operator import itemgetter
 
+from repro.obs.trace import NULL_TRACER
 from repro.relational.backend import Backend
 from repro.results.resultset import (
     BoundNode,
@@ -34,18 +35,13 @@ from repro.xquery.ast import Constructor, VarPath
 
 def execute_compiled(compiled: CompiledQuery,
                      backend: Backend,
-                     tracer=None) -> QueryResult:
+                     tracer=NULL_TRACER) -> QueryResult:
     """Run all SQL of a compiled query; returns the merged result.
 
-    With a :class:`repro.obs.trace.Tracer`, the three execution phases
-    (binding collection, value collection, merge) each get their own
-    span nested under whatever span is currently open.
+    The three execution phases (binding collection, value collection,
+    merge) each get their own span of ``tracer``, nested under whatever
+    span is currently open.
     """
-    if tracer is None:
-        bindings = _collect_bindings(compiled, backend)
-        value_maps = _collect_value_maps(compiled, backend, bindings)
-        return _merge_result(compiled, bindings, value_maps)
-
     with tracer.span("bindings") as span:
         bindings = _collect_bindings(compiled, backend)
         span.count("binding_tuples", len(bindings))

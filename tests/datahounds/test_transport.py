@@ -158,3 +158,14 @@ class TestFetchErrorCounter:
             repo.fetch("s", "r1")                        # corrupted file
         assert metrics.get_counter("transport.fetch_errors",
                                    source="s") == 2
+
+    def test_metrics_false_fetches_and_records_nothing(self, tmp_path):
+        from repro.obs import default_registry
+        for repo in (InMemoryRepository(metrics=False),
+                     DirectoryRepository(tmp_path, metrics=False)):
+            repo.publish("s", "r1", "ID   a\n//\n")
+            assert repo.fetch("s", "r1").text == "ID   a\n//\n"
+            with pytest.raises(TransportError):
+                repo.fetch("s", "r99")
+        assert default_registry().snapshot() == {
+            "counters": [], "gauges": [], "histograms": []}

@@ -43,7 +43,7 @@ def chaos_wrapper(repo, seed, warehouse):
         flaky,
         policy=RetryPolicy(max_attempts=8, base_delay_s=0.0, jitter=0.0),
         breaker_threshold=50, sleep=lambda s: None,
-        metrics=warehouse._metrics_sink, events=warehouse.events), plan
+        metrics=warehouse.metrics, events=warehouse.events), plan
 
 
 def harvest_releases(warehouse, repo):

@@ -59,7 +59,7 @@ class TestSubscriptionLifecycle:
         from repro.obs import MetricsRegistry
         corpus, repo, warehouse, hound = setup
         registry = MetricsRegistry()
-        warehouse.metrics = warehouse._metrics_sink = registry
+        warehouse.metrics = registry
         hound.metrics = registry
         deltas = []
         sub = QuerySubscription(warehouse, hound, QUERY,

@@ -296,11 +296,49 @@ class TestWarehouseWiring:
         assert registry.get_counter("load.documents", source="db") == 1
         assert registry.get_counter("load.rows", table="elements") > 0
 
-    def test_metrics_false_records_nothing(self, backend):
+    def test_metrics_false_records_nothing(self, backend, corpus):
+        """Metrics off is behaviour: a ``metrics=False`` warehouse
+        loads, queries and runs a hound round with a standing
+        subscription, a ``metrics=False`` federation answers a join,
+        and the process-wide registry stays empty throughout."""
+        from repro.datahounds import InMemoryRepository
+        from repro.federation import FederatedXomatiQ, ShardCatalog
+        from repro.obs import NULL_TRACER
+        from repro.subscriptions import SubscriptionManager
+
         warehouse = small_warehouse(backend, metrics=False)
-        warehouse.query(QUERY)
-        assert warehouse._metrics_sink is None
         assert isinstance(warehouse.metrics, NullMetrics)
+        assert len(warehouse.query(QUERY)) == 1
+        repository = InMemoryRepository(metrics=False)
+        repository.publish("hlx_enzyme", "r1", corpus.enzyme_text)
+        manager = SubscriptionManager(warehouse, persist=False)
+        manager.subscribe('FOR $a IN document("hlx_enzyme.DEFAULT")'
+                          '/hlx_enzyme RETURN $a//enzyme_id')
+        report = warehouse.harvest(repository, sources=["hlx_enzyme"])
+        manager.close()
+        assert report.reports["hlx_enzyme"].documents_loaded > 0
+
+        catalog = ShardCatalog()
+        catalog.add_shard("s0")
+        catalog.add_shard("s1")
+        catalog.assign("hlx_enzyme", "s0")
+        catalog.assign("hlx_embl", "s1")
+        federation = FederatedXomatiQ(catalog, metrics=False)
+        federation.load_text("hlx_enzyme", corpus.enzyme_text)
+        federation.load_text("hlx_embl", corpus.embl_text)
+        joined = federation.query(
+            'FOR $a IN document("hlx_embl.inv")/hlx_n_sequence/db_entry,'
+            ' $b IN document("hlx_enzyme.DEFAULT")/hlx_enzyme/db_entry'
+            ' WHERE $a//qualifier[@qualifier_type = "EC_number"]'
+            ' = $b/enzyme_id RETURN $a//embl_accession_number')
+        federation.close()
+        assert len(joined) > 0
+
+        assert default_registry().snapshot() == {
+            "counters": [], "gauges": [], "histograms": []}
+        assert warehouse.backend is backend            # never wrapped
+        assert warehouse.tracer is NULL_TRACER
+        assert NULL_TRACER.spans == ()
 
     def test_remove_source_counter(self, backend):
         registry = MetricsRegistry()

@@ -7,6 +7,7 @@ import pytest
 
 from repro.engine import Warehouse
 from repro.obs import (
+    NULL_TRACER,
     InstrumentedBackend,
     export_profiles,
     format_profile,
@@ -36,24 +37,24 @@ class TestHotPathDefault:
 
     def test_no_tracer_allocated_by_default(self, backend):
         warehouse = Warehouse(backend=backend)
-        assert warehouse.tracer is None
-        assert warehouse.loader.tracer is None
+        assert warehouse.tracer is NULL_TRACER
+        assert warehouse.loader.tracer is NULL_TRACER
         # metrics are on by default: backend wrapped, but no tracer
         assert isinstance(warehouse.backend, InstrumentedBackend)
-        assert warehouse.backend.tracer is None
+        assert warehouse.backend.tracer is NULL_TRACER
 
     def test_metrics_false_leaves_backend_unwrapped(self, backend):
         warehouse = Warehouse(backend=backend, metrics=False)
-        assert warehouse.tracer is None
+        assert warehouse.tracer is NULL_TRACER
         assert warehouse.backend is backend  # not wrapped
         assert not isinstance(warehouse.backend, InstrumentedBackend)
-        assert warehouse._metrics_sink is None
+        assert not warehouse.metrics.enabled
 
     def test_connect_without_trace_passes_no_tracer(self, backend):
         from repro.datahounds import InMemoryRepository
         warehouse = Warehouse(backend=backend)
         hound = warehouse.connect(InMemoryRepository())
-        assert hound.tracer is None
+        assert hound.tracer is NULL_TRACER
 
 
 class TestProfileQuery:

@@ -240,7 +240,7 @@ class TestTracingDisabled:
     def test_capacity_zero_disables_cleanly(self, trace_corpus):
         service = make_service(trace_corpus, trace_capacity=0)
         try:
-            assert service.tracer is None
+            assert not service.tracer.enabled
             response = service.handle(
                 "POST", "/query", body=query_body(),
                 headers={"X-Request-Id": "req-off"})
