@@ -386,6 +386,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -404,9 +407,10 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "load":
+        engine = _open_engine(args)
         if args.shard_map:
-            federation = _open_federation(args.shard_map)
-            counts = federation.load_text(
+            # a federation slices the release across the source's shards
+            counts = engine.load_text(
                 args.source,
                 Path(args.flatfile).read_text(encoding="utf-8"),
                 batch_size=args.batch_size)
@@ -414,21 +418,16 @@ def _dispatch(args) -> int:
                                   for shard, count in counts.items())
             print(f"loaded {sum(counts.values())} documents into "
                   f"{args.source} ({per_shard})")
-            federation.close()
-            return 0
-        if not args.db:
-            print("error: provide --db or --shard-map", file=sys.stderr)
-            return 2
-        warehouse = _open(args.db)
-        count = warehouse.load_file(args.source, args.flatfile,
-                                    batch_size=args.batch_size)
-        print(f"loaded {count} documents into {args.source}")
-        warehouse.close()
+        else:
+            count = engine.load_file(args.source, args.flatfile,
+                                     batch_size=args.batch_size)
+            print(f"loaded {count} documents into {args.source}")
+        engine.close()
         return 0
 
     if args.command == "harvest":
         from repro.datahounds.transport import DirectoryRepository
-        warehouse = _open(args.db)
+        warehouse = _open_engine(args)
         report = warehouse.harvest(DirectoryRepository(args.repo),
                                    sources=args.sources,
                                    quarantine=args.quarantine,
@@ -450,49 +449,31 @@ def _dispatch(args) -> int:
         print(f"wrote corpus to {out} ({corpus.sizes()})")
         return 0
 
-    if args.command == "query" and args.shard_map:
+    if args.command == "query":
         text = _query_text(args)
-        federation = _open_federation(args.shard_map)
-        result = federation.query(text)
+        engine = _open_engine(args)
+        result = engine.query(text)
         for warning in result.warnings:
             print(f"warning: {warning}", file=sys.stderr)
         print(result.to_xml() if args.xml else result.to_table())
-        federation.close()
+        engine.close()
         return 0
 
-    if args.command in ("query", "translate"):
+    if args.command == "translate":
         text = _query_text(args)
-        if args.command == "query" and not args.db:
-            print("error: provide --db or --shard-map", file=sys.stderr)
-            return 2
-        warehouse = _open(args.db)
-        if args.command == "translate":
-            compiled = warehouse.translate(text)
-            for index, statement in enumerate(compiled.statements(), 1):
-                print(f"-- statement {index}")
-                print(statement)
-                print()
-        else:
-            result = warehouse.query(text)
-            print(result.to_xml() if args.xml else result.to_table())
+        warehouse = _open_engine(args)
+        compiled = warehouse.translate(text)
+        for index, statement in enumerate(compiled.statements(), 1):
+            print(f"-- statement {index}")
+            print(statement)
+            print()
         warehouse.close()
         return 0
 
     if args.command == "profile":
         from repro.obs import export_profiles, format_profile
         text = _query_text(args)
-        if args.synth:
-            from repro.relational import MiniDbBackend
-            from repro.synth import build_corpus
-            backend = (MiniDbBackend() if args.backend == "minidb"
-                       else SqliteBackend())
-            warehouse = Warehouse(backend=backend)
-            warehouse.load_corpus(build_corpus(seed=args.seed))
-        elif args.db:
-            warehouse = _open(args.db)
-        else:
-            print("error: provide --db or --synth", file=sys.stderr)
-            return 2
+        warehouse = _open_engine(args)
         report = warehouse.profile(text, explain=not args.no_explain)
         print(format_profile(report))
         if args.json_out:
@@ -509,45 +490,25 @@ def _dispatch(args) -> int:
 
     if args.command == "stats":
         import json
-        if args.shard_map:
-            federation = _open_federation(args.shard_map)
-            if args.per_shard:
-                per_shard = federation.shard_stats()
-                if args.json:
-                    print(json.dumps(per_shard, indent=2, sort_keys=True))
-                else:
-                    for shard, stats in per_shard.items():
-                        print(f"[{shard}]")
-                        for key, count in stats.items():
-                            print(f"  {key:<22} {count}")
-            else:
-                stats = federation.stats()
-                if args.json:
-                    print(json.dumps(stats, indent=2, sort_keys=True))
-                else:
-                    for key, count in stats.items():
-                        print(f"{key:<24} {count}")
-            federation.close()
-            return 0
-        if not args.db:
-            print("error: provide --db or --shard-map", file=sys.stderr)
-            return 2
-        warehouse = _open(args.db)
-        stats = warehouse.stats()
+        engine = _open_engine(args)
+        per_shard = args.per_shard and args.shard_map
+        stats = engine.shard_stats() if per_shard else engine.stats()
+        engine.close()
         if args.json:
             print(json.dumps(stats, indent=2, sort_keys=True))
+        elif per_shard:
+            for shard, counts in stats.items():
+                print(f"[{shard}]")
+                for key, count in counts.items():
+                    print(f"  {key:<22} {count}")
         else:
             for key, count in stats.items():
                 print(f"{key:<24} {count}")
-        warehouse.close()
         return 0
 
     if args.command == "analyze":
         import json
-        from repro.federation import FederatedXomatiQ, default_stats_path
-        stats_path = args.stats or default_stats_path(args.shard_map)
-        federation = FederatedXomatiQ.from_shard_map(
-            args.shard_map, stats_path=stats_path)
+        federation = _open_engine(args)
         try:
             summary = federation.analyze()
         finally:
@@ -556,7 +517,7 @@ def _dispatch(args) -> int:
             print(json.dumps(summary, indent=2, sort_keys=True))
         else:
             print(f"analyzed {summary['shards_analyzed']} shard(s) "
-                  f"-> {stats_path}")
+                  f"-> {federation.stats_path}")
             for name, record in summary["shards"].items():
                 complete = "complete" if record["tokens_complete"] \
                     else "capped"
@@ -572,30 +533,26 @@ def _dispatch(args) -> int:
         import json
         from repro.obs import MetricsRegistry
         registry = MetricsRegistry()
-        warehouse = _open_for_check(args, metrics=registry)
-        if warehouse is None:
-            return 2
+        engine = _open_engine(args, metrics=registry)
         if args.text or args.file:
-            warehouse.query(_query_text(args))
+            engine.query(_query_text(args))
         if args.format == "prometheus":
             sys.stdout.write(registry.render_prometheus())
         else:
             print(json.dumps(registry.snapshot(), indent=2, sort_keys=True))
-        warehouse.close()
+        engine.close()
         return 0
 
     if args.command == "health":
         import json
         from repro.obs import format_health
-        warehouse = _open_for_check(args)
-        if warehouse is None:
-            return 2
-        report = warehouse.health()
+        engine = _open_engine(args)
+        report = engine.health()
         if args.json:
             print(json.dumps(report, indent=2, sort_keys=True))
         else:
             print(format_health(report))
-        warehouse.close()
+        engine.close()
         # Nagios-style tri-state so monitoring can tell degraded from
         # broken: 0 = ok, 2 = warn (degraded but serving), 1 = fail
         return {"ok": 0, "warn": 2}.get(report["status"], 1)
@@ -628,16 +585,7 @@ def _dispatch_serve(args) -> int:
     import signal
     import threading
     from repro.service import ServiceConfig, serve
-    if args.shards:
-        if not args.synth:
-            print("error: --shards requires --synth", file=sys.stderr)
-            return 2
-        engine = _build_synth_federation(args.seed, args.shards,
-                                         replicas=args.replicas)
-    else:
-        engine = _open_for_check(args)
-    if engine is None:
-        return 2
+    engine = _open_engine(args)
     config = ServiceConfig(host=args.host, port=args.port,
                            max_in_flight=args.max_in_flight,
                            rate_limit=args.rate_limit,
@@ -674,40 +622,17 @@ def _dispatch_subscribe(args) -> int:
     """``subscribe`` — register a standing query on a serve node and
     tail its deltas over the long-poll API until interrupted."""
     import json
-    from urllib.error import HTTPError, URLError
-    from urllib.request import Request, urlopen
-
-    base = args.url.rstrip("/")
     if args.file:
         text = Path(args.file).read_text(encoding="utf-8")
     elif args.query:
         text = args.query
     else:
-        print("error: give a query or --file", file=sys.stderr)
-        return 2
+        raise _UsageError("give a query or --file")
 
     def call(method: str, path: str, body: dict | None = None) -> dict:
-        request = Request(
-            base + path, method=method,
-            data=(json.dumps(body).encode("utf-8")
-                  if body is not None else None),
-            headers={"Content-Type": "application/json"}
-            if body is not None else {})
-        try:
-            with urlopen(request, timeout=args.timeout + 5) as response:
-                return json.loads(response.read().decode("utf-8"))
-        except HTTPError as exc:
-            try:
-                detail = json.loads(
-                    exc.read().decode("utf-8")).get("error", "")
-            except Exception:
-                detail = ""
-            raise ReproError(
-                f"{base}{path}: HTTP {exc.code}"
-                + (f" ({detail})" if detail else "")) from None
-        except (URLError, OSError) as exc:
-            raise ReproError(
-                f"cannot reach service at {base}: {exc}") from None
+        # a long poll may hold the request for up to args.timeout
+        return _http_json(args.url, path, args.timeout + 5,
+                          method=method, body=body)
 
     record = call("POST", "/subscriptions",
                   {"query": text, "policy": args.policy,
@@ -757,27 +682,9 @@ def _dispatch_subscribe(args) -> int:
 def _dispatch_trace(args) -> int:
     """``trace list/show/export`` — read a serve node's /traces API."""
     import json
-    from urllib.error import HTTPError, URLError
-    from urllib.request import urlopen
-
-    base = args.url.rstrip("/")
 
     def fetch(path: str) -> dict:
-        try:
-            with urlopen(base + path, timeout=args.timeout) as response:
-                return json.loads(response.read().decode("utf-8"))
-        except HTTPError as exc:
-            try:
-                detail = json.loads(
-                    exc.read().decode("utf-8")).get("error", "")
-            except Exception:
-                detail = ""
-            raise ReproError(
-                f"{base}{path}: HTTP {exc.code}"
-                + (f" ({detail})" if detail else "")) from None
-        except (URLError, OSError) as exc:
-            raise ReproError(
-                f"cannot reach service at {base}: {exc}") from None
+        return _http_json(args.url, path, args.timeout)
 
     def resolve_id() -> str:
         if getattr(args, "trace_id", None):
@@ -885,11 +792,41 @@ def _dispatch_shard(args) -> int:
     raise AssertionError(f"unhandled shard command {args.shard_command}")
 
 
-def _open(db: str, metrics=None) -> Warehouse:
-    # reuse the schema if the database file already exists
-    exists = Path(db).exists()
-    return Warehouse(backend=SqliteBackend(db), create=not exists,
-                     metrics=metrics)
+class _UsageError(Exception):
+    """A command given no engine or no query: ``error: ...``, exit 2."""
+
+
+def _open_engine(args, metrics=None):
+    """The engine a command runs on: a federation over ``--shard-map``
+    (or ``--synth --shards N``), else a warehouse over ``--db`` (its
+    schema reused when the file exists) or an in-memory ``--synth``
+    corpus. Both answer the same calls (:class:`repro.engine.Engine`);
+    ``metrics`` is the registry they record into."""
+    if getattr(args, "shards", 0):
+        if not args.synth:
+            raise _UsageError("--shards requires --synth")
+        return _build_synth_federation(args.seed, args.shards,
+                                       replicas=args.replicas)
+    if getattr(args, "shard_map", None):
+        from repro.federation import FederatedXomatiQ
+        return FederatedXomatiQ.from_shard_map(
+            args.shard_map, metrics=metrics,
+            stats_path=getattr(args, "stats", None))
+    if getattr(args, "synth", False):
+        from repro.relational import MiniDbBackend
+        from repro.synth import build_corpus
+        backend = (MiniDbBackend()
+                   if getattr(args, "backend", "sqlite") == "minidb"
+                   else SqliteBackend())
+        warehouse = Warehouse(backend=backend, metrics=metrics)
+        warehouse.load_corpus(build_corpus(seed=args.seed))
+        return warehouse
+    if args.db:
+        return Warehouse(backend=SqliteBackend(args.db),
+                         create=not Path(args.db).exists(),
+                         metrics=metrics)
+    other = "--synth" if hasattr(args, "synth") else "--shard-map"
+    raise _UsageError(f"provide --db or {other}")
 
 
 def _build_synth_federation(seed: int, shards: int, replicas: int = 0):
@@ -915,28 +852,32 @@ def _build_synth_federation(seed: int, shards: int, replicas: int = 0):
     return federation
 
 
-def _open_federation(shard_map: str, metrics=None):
-    """Open a federated facade over a shard-map registry file."""
-    from repro.federation import FederatedXomatiQ
-    return FederatedXomatiQ.from_shard_map(shard_map, metrics=metrics)
-
-
-def _open_for_check(args, metrics=None):
-    """Open --db / --shard-map, or build an in-memory --synth
-    warehouse; None = usage error (message already printed). The
-    returned object answers ``query``/``health``/``close`` whether it
-    is a warehouse or a federation."""
-    if getattr(args, "shard_map", None):
-        return _open_federation(args.shard_map, metrics=metrics)
-    if args.synth:
-        from repro.synth import build_corpus
-        warehouse = Warehouse(metrics=metrics)
-        warehouse.load_corpus(build_corpus(seed=args.seed))
-        return warehouse
-    if args.db:
-        return _open(args.db, metrics=metrics)
-    print("error: provide --db or --synth", file=sys.stderr)
-    return None
+def _http_json(url: str, path: str, timeout: float, method: str = "GET",
+               body: dict | None = None) -> dict:
+    """One JSON call to a serve node (the ``trace`` and ``subscribe``
+    verbs): an HTTP error or an unreachable node is a
+    :class:`ReproError` carrying the service's own error text."""
+    import json
+    from urllib.error import HTTPError, URLError
+    from urllib.request import Request, urlopen
+    base = url.rstrip("/")
+    request = Request(
+        base + path, method=method,
+        data=json.dumps(body).encode("utf-8") if body is not None else None,
+        headers={"Content-Type": "application/json"}
+        if body is not None else {})
+    try:
+        with urlopen(request, timeout=timeout) as response:
+            return json.loads(response.read().decode("utf-8"))
+    except HTTPError as exc:
+        try:
+            detail = json.loads(exc.read().decode("utf-8")).get("error", "")
+        except Exception:
+            detail = ""
+        raise ReproError(f"{base}{path}: HTTP {exc.code}"
+                         + (f" ({detail})" if detail else "")) from None
+    except (URLError, OSError) as exc:
+        raise ReproError(f"cannot reach service at {base}: {exc}") from None
 
 
 def _query_text(args) -> str:
@@ -944,8 +885,7 @@ def _query_text(args) -> str:
         return Path(args.file).read_text(encoding="utf-8")
     if args.text:
         return args.text
-    print("error: provide query text or --file", file=sys.stderr)
-    raise SystemExit(2)
+    raise _UsageError("provide query text or --file")
 
 
 if __name__ == "__main__":

@@ -44,7 +44,62 @@ from repro.xquery.parser import parse_query
 from repro.xquery.semantics import check_query
 
 
-class Warehouse:
+class Engine:
+    """The surface the service and the CLI drive.
+
+    :class:`Warehouse` and :class:`~repro.federation.FederatedXomatiQ`
+    answer the same calls — ``query``, ``keyword_search``,
+    ``find_document``, ``fetch_document``, ``stats``, ``health``,
+    ``harvest``, ``enable_tracing``, ``close`` — and both record into
+    ``metrics``, ``events`` and ``tracer``. Whatever depends on which
+    engine answers is decided inside that engine, so a front end never
+    asks (docs/internals.md, "Engine surface")."""
+
+    #: seconds a caller that refused a partial answer should wait
+    #: before retrying; a warehouse never answers partially
+    retry_after_s = 1
+
+    def enable_tracing(self, tracer=None, max_spans: int | None = None):
+        """Turn span tracing on after construction (idempotent).
+
+        The service layer calls this so any engine it is handed —
+        built with ``trace=...`` or not — traces requests. Passing a
+        ``tracer`` adopts it (the federation layer shares one tracer
+        across every shard this way); otherwise the existing tracer is
+        kept or a fresh one allocated. ``max_spans`` bounds retained
+        top-level spans for long-running processes. Returns the live
+        :class:`repro.obs.Tracer`.
+
+        This is the only place a real tracer replaces the null one
+        after construction.
+        """
+        from repro.obs import Tracer
+        if tracer is None:
+            tracer = (self.tracer if self.tracer.enabled
+                      else Tracer(max_spans=max_spans))
+        self.tracer = tracer
+        if max_spans is not None:
+            tracer.max_spans = max_spans
+        tracer.adopt_metrics(self.metrics)
+        self._trace_with(tracer)
+        return tracer
+
+    def optimizer_stats(self) -> dict | None:
+        """The cost-based optimizer's state (the service's ``/stats``
+        block); None when plan choice is the relational backend's."""
+        return None
+
+    def fetch_document_xml(self, row: ResultRow, variable: str) -> str:
+        """Serialized document behind one result row's variable."""
+        try:
+            node = row.bindings[variable]
+        except KeyError:
+            raise UnknownDocumentError(
+                f"result row has no binding for ${variable}") from None
+        return serialize(self.fetch_document(node))
+
+
+class Warehouse(Engine):
     """A local biological-data warehouse over a relational backend."""
 
     def __init__(self, backend: Backend | None = None,
@@ -122,28 +177,8 @@ class Warehouse:
                                       bulk_batch_size=bulk_batch_size)
         self.xomatiq = XomatiQ(self, cache_size=query_cache)
 
-    def enable_tracing(self, tracer=None, max_spans: int | None = None):
-        """Turn span tracing on after construction (idempotent).
-
-        The service layer calls this so any warehouse it is handed —
-        built with ``trace=...`` or not — traces requests. Passing a
-        ``tracer`` adopts it (the federation layer shares one tracer
-        across every shard this way); otherwise the existing tracer is
-        kept or a fresh one allocated. ``max_spans`` bounds retained
-        top-level spans for long-running processes. Returns the live
-        :class:`repro.obs.Tracer`.
-
-        This is the only place a real tracer replaces the null one
-        after construction.
-        """
-        from repro.obs import InstrumentedBackend, Tracer
-        if tracer is None:
-            tracer = (self.tracer if self.tracer.enabled
-                      else Tracer(max_spans=max_spans))
-        self.tracer = tracer
-        if max_spans is not None:
-            tracer.max_spans = max_spans
-        tracer.adopt_metrics(self.metrics)
+    def _trace_with(self, tracer) -> None:
+        from repro.obs import InstrumentedBackend
         if isinstance(self.backend, InstrumentedBackend):
             self.backend.tracer = tracer
         else:
@@ -153,7 +188,6 @@ class Warehouse:
                 self.backend, tracer, metrics=self.metrics)
             self.loader.backend = self.backend
         self.loader.tracer = tracer
-        return tracer
 
     # -- loading ---------------------------------------------------------------
 
@@ -381,8 +415,12 @@ class Warehouse:
 
     # -- querying -----------------------------------------------------------------------
 
-    def query(self, text: str) -> QueryResult:
-        """Parse, check, compile and run a XomatiQ query."""
+    def query(self, text: str,
+              deadline_s: float | None = None) -> QueryResult:
+        """Parse, check, compile and run a XomatiQ query.
+
+        ``deadline_s`` is accepted for the federation's sake: a
+        warehouse has no shard to drop, so it always answers whole."""
         return self.xomatiq.query(text)
 
     def translate(self, text: str) -> CompiledQuery:
@@ -411,14 +449,16 @@ class Warehouse:
         doc_id = node.doc_id if isinstance(node, BoundNode) else node
         return reconstruct_document(self.backend, doc_id)
 
-    def fetch_document_xml(self, row: ResultRow, variable: str) -> str:
-        """Serialized document behind one result row's variable."""
-        try:
-            node = row.bindings[variable]
-        except KeyError:
-            raise UnknownDocumentError(
-                f"result row has no binding for ${variable}") from None
-        return serialize(self.fetch_document(node))
+    def find_document(self, doc_id: int,
+                      shard: str | None = None) -> Document:
+        """The document stored under ``doc_id`` (``GET
+        /documents/{doc_id}``); :class:`UnknownDocumentError` when there
+        is none. ``shard`` picks a federation's shard; a warehouse is
+        one store and ignores it."""
+        if not self.backend.execute(
+                "SELECT doc_id FROM documents WHERE doc_id = ?", (doc_id,)):
+            raise UnknownDocumentError(f"no document with doc_id {doc_id}")
+        return self.fetch_document(doc_id)
 
     def interrupt(self) -> None:
         """Abort the statement currently running on this warehouse's

@@ -117,8 +117,10 @@ class FaultPolicy:
 
     ``retries_per_backend`` counts attempts on one backend before
     failing over to the next (1 = fail over immediately);
-    ``retry_delay_s`` sleeps between same-backend retries (through the
-    executor's injectable ``sleep``). ``subquery_timeout_s`` bounds a
+    ``retry_delay_s`` is the pause between a failed attempt and its
+    same-backend retry (measured on the executor's injectable
+    ``clock``; failover to another backend starts at once).
+    ``subquery_timeout_s`` bounds a
     single backend attempt; a per-query deadline (``X-Deadline-Ms``)
     additionally bounds everything, whichever is tighter.
 
@@ -249,7 +251,7 @@ class ScatterGatherExecutor:
             started = time.perf_counter()
             try:
                 result, backend, info = self._resilient_subquery(
-                    plan.text, plan.query, shard, deadline)
+                    plan.text, plan.query, shard, deadline, span)
             except DEGRADABLE as exc:
                 span.meta["error"] = str(exc)
                 return self._degraded_result(
@@ -396,8 +398,9 @@ class ScatterGatherExecutor:
         ``federated_query`` span — because a worker's thread-local span
         stack starts empty and cannot see the coordinator's. The shard
         warehouse shares the federation tracer, so its own ``query``
-        span (and every SQL statement record) nests under this one:
-        one connected tree from request to statement.
+        span (and every SQL statement record) nests under this one —
+        the attempt thread that runs it joins this span — giving one
+        connected tree from request to statement.
         """
         meta = {"shard": shard, "sources": ", ".join(subplan.sources)}
         if mode is not None:
@@ -407,7 +410,7 @@ class ScatterGatherExecutor:
             started = time.perf_counter()
             try:
                 result, backend, info = self._resilient_subquery(
-                    subplan.text, subplan.subquery, shard, deadline)
+                    subplan.text, subplan.subquery, shard, deadline, span)
             except UnknownDocumentError:
                 # the shard hosts the source but holds none of its
                 # documents (an empty partition slice): zero bindings,
@@ -456,9 +459,19 @@ class ScatterGatherExecutor:
 
     # -- fault-tolerant subquery attempts -------------------------------------
 
-    def _resilient_subquery(self, text: str, ast, shard: str, deadline):
-        """Run one shard subquery with breakers, failover, timeouts
-        and hedging; returns ``(result, winning backend, info)``.
+    def _resilient_subquery(self, text: str, ast, shard: str, deadline,
+                            span):
+        """Run one shard subquery with breakers, retries, failover,
+        timeouts and hedging under the open ``span``; returns
+        ``(result, winning backend, info)``.
+
+        Each attempt runs on its own thread, so the coordinator can
+        outlive (and interrupt) a stuck backend call: the per-attempt
+        timeout, the query deadline, the hedge delay and the retry
+        delay are all waits on one outcome queue. A straggler that
+        loses — to the deadline, its timeout, or a faster hedge — is
+        cancelled with ``Warehouse.interrupt()``; its late outcome, if
+        any, is ignored by attempt token.
 
         Raises the last degradable error when every usable backend is
         exhausted, :class:`ShardUnreachableError` when all breakers are
@@ -482,70 +495,6 @@ class ScatterGatherExecutor:
             raise ShardUnreachableError(
                 f"shard {shard!r}: query deadline exhausted before "
                 f"the subquery could start")
-        # the plain path — no deadline, no per-attempt timeout, no
-        # spare to hedge onto — runs attempts inline on this thread;
-        # anything needing cancellation or a duplicate runs attempts
-        # on their own threads so the coordinator can time them out
-        if (deadline is None and self.policy.subquery_timeout_s is None
-                and not (self.policy.hedge and len(candidates) > 1)):
-            return self._attempts_inline(text, ast, shard, candidates)
-        return self._attempts_threaded(text, ast, shard, candidates,
-                                       deadline)
-
-    def _query_backend(self, text: str, ast, backend: str):
-        """One raw attempt against one backend (latency sleep, lazy
-        open, subquery)."""
-        latency = self.catalog.spec(backend).latency_s
-        if latency:
-            # one simulated round-trip per attempt; the sleep drops
-            # the GIL, so concurrent scatter overlaps the waits
-            # exactly as it would overlap network hops
-            self.sleep(latency)
-        warehouse = self.catalog.warehouse(backend)
-        return warehouse.xomatiq.query(text, ast=ast)
-
-    def _attempts_inline(self, text: str, ast, shard: str,
-                         candidates: list[str]):
-        """Sequential attempts: each candidate backend up to
-        ``retries_per_backend`` times, then fail over to the next."""
-        retries = max(1, self.policy.retries_per_backend)
-        attempts = 0
-        last_exc = None
-        for index, backend in enumerate(candidates):
-            for retry in range(retries):
-                attempts += 1
-                try:
-                    result = self._query_backend(text, ast, backend)
-                except UnknownDocumentError:
-                    self.breaker(backend).record_success()
-                    raise
-                except DEGRADABLE as exc:
-                    self.breaker(backend).record_failure()
-                    last_exc = exc
-                    if retry + 1 < retries:
-                        self.metrics.inc("federation.shard_retries",
-                                         shard=shard)
-                        if self.policy.retry_delay_s:
-                            self.sleep(self.policy.retry_delay_s)
-                    continue
-                self.breaker(backend).record_success()
-                return result, backend, {"attempts": attempts,
-                                         "hedged": False,
-                                         "hedge_won": False}
-            if index + 1 < len(candidates):
-                self.metrics.inc("federation.failovers", shard=shard)
-        raise last_exc
-
-    def _attempts_threaded(self, text: str, ast, shard: str,
-                           candidates: list[str], deadline):
-        """Attempts on their own threads: per-attempt timeouts, the
-        query deadline, and hedging all need a coordinator that can
-        outlive (and interrupt) a stuck backend call.
-
-        A straggler that loses — to the deadline, its timeout, or a
-        faster hedge — is cancelled with ``Warehouse.interrupt()``;
-        its late outcome, if any, is ignored by attempt token.
-        """
         policy = self.policy
         retries = max(1, policy.retries_per_backend)
         schedule = [backend for backend in candidates
@@ -556,13 +505,17 @@ class ScatterGatherExecutor:
         cursor = 0
         token_counter = 0
         last_exc = None
+        #: a same-backend retry waiting out ``retry_delay_s``:
+        #: ``(backend, clock time it may start)``
+        retry = None
 
         def attempt(backend: str, token: int) -> None:
-            try:
-                outcomes.put((token, self._query_backend(text, ast,
-                                                         backend), None))
-            except BaseException as exc:  # noqa: BLE001 - ferried out
-                outcomes.put((token, None, exc))
+            with self.tracer.inside(span):
+                try:
+                    outcomes.put((token, self._query_backend(
+                        text, ast, backend), None))
+                except BaseException as exc:  # noqa: BLE001 - ferried
+                    outcomes.put((token, None, exc))
 
         def launch(backend: str) -> int:
             nonlocal token_counter
@@ -586,20 +539,38 @@ class ScatterGatherExecutor:
                     return backend
             return None
 
+        def advance(failed: str) -> None:
+            """Nothing is in flight and ``failed`` just failed: start
+            the next scheduled attempt — a failover at once, a retry of
+            the same backend once ``retry_delay_s`` has passed. With
+            the schedule spent, the loop ends and re-raises."""
+            nonlocal retry
+            backend = next_backend()
+            if backend is None:
+                return
+            if backend != failed:
+                self.metrics.inc("federation.failovers", shard=shard)
+                launch(backend)
+                return
+            self.metrics.inc("federation.shard_retries", shard=shard)
+            if policy.retry_delay_s:
+                retry = (backend, self.clock() + policy.retry_delay_s)
+            else:
+                launch(backend)
+
         def abandon() -> None:
             for backend in in_flight.values():
                 self._interrupt(backend)
             in_flight.clear()
 
-        first = next_backend()
         primary_start = self.clock()
-        launch(first)
+        launch(next_backend())
         hedge_at = None
         hedge_token = None
         if policy.hedge and len(candidates) > 1:
             hedge_at = primary_start + self._hedge_delay(shard)
 
-        while in_flight:
+        while in_flight or retry is not None:
             now = self.clock()
             if deadline is not None and now >= deadline:
                 # blowing the whole query budget counts against every
@@ -614,17 +585,23 @@ class ScatterGatherExecutor:
             waits = []
             if deadline is not None:
                 waits.append(deadline - now)
-            if policy.subquery_timeout_s is not None:
+            if policy.subquery_timeout_s is not None and in_flight:
                 earliest = min(launched[token][1]
                                for token in in_flight)
                 waits.append(earliest + policy.subquery_timeout_s - now)
             if hedge_at is not None and hedge_token is None:
                 waits.append(hedge_at - now)
+            if retry is not None:
+                waits.append(retry[1] - now)
             wait = max(0.0, min(waits)) if waits else None
             try:
                 token, result, exc = outcomes.get(timeout=wait)
             except queue_module.Empty:
                 now = self.clock()
+                if retry is not None and now >= retry[1]:
+                    launch(retry[0])
+                    retry = None
+                    continue
                 if (hedge_at is not None and hedge_token is None
                         and now >= hedge_at):
                     backend = next_backend(
@@ -649,12 +626,8 @@ class ScatterGatherExecutor:
                             f"exceeded its "
                             f"{policy.subquery_timeout_s}s subquery "
                             f"timeout")
-                    if expired and not in_flight:
-                        backend = next_backend()
-                        if backend is not None:
-                            self.metrics.inc("federation.failovers",
-                                             shard=shard)
-                            launch(backend)
+                    if expired and not in_flight and retry is None:
+                        advance(backend)
                 continue
             if token not in in_flight:
                 continue  # a straggler we already gave up on
@@ -687,20 +660,24 @@ class ScatterGatherExecutor:
                 raise exc
             self.breaker(backend).record_failure()
             last_exc = exc
-            if not in_flight:
-                nxt = next_backend()
-                if nxt is None:
-                    raise last_exc
-                if nxt == backend:
-                    self.metrics.inc("federation.shard_retries",
-                                     shard=shard)
-                else:
-                    self.metrics.inc("federation.failovers", shard=shard)
-                launch(nxt)
+            if not in_flight and retry is None:
+                advance(backend)
         if last_exc is not None:
             raise last_exc
         raise ShardUnreachableError(
             f"shard {shard!r}: no backend attempt completed")
+
+    def _query_backend(self, text: str, ast, backend: str):
+        """One raw attempt against one backend (latency sleep, lazy
+        open, subquery)."""
+        latency = self.catalog.spec(backend).latency_s
+        if latency:
+            # one simulated round-trip per attempt; the sleep drops
+            # the GIL, so concurrent scatter overlaps the waits
+            # exactly as it would overlap network hops
+            self.sleep(latency)
+        warehouse = self.catalog.warehouse(backend)
+        return warehouse.xomatiq.query(text, ast=ast)
 
     def _hedge_delay(self, shard: str) -> float:
         """How long the primary may run before a duplicate fires on a

@@ -27,9 +27,11 @@ loaded from the same release.
 
 from __future__ import annotations
 
+import math
 import time
 
 from repro.datahounds.registry import SourceRegistry
+from repro.engine import Engine
 from repro.errors import (
     FederationError,
     ShardConfigError,
@@ -49,13 +51,13 @@ from repro.federation.executor import (
 )
 from repro.federation.planner import FederatedPlan, FederationPlanner
 from repro.federation.stats import StatisticsCatalog, default_stats_path
-from repro.results.resultset import QueryResult, ResultRow
-from repro.xmlkit import Document, serialize
+from repro.results.resultset import QueryResult
+from repro.xmlkit import Document
 from repro.xquery.parser import parse_query
 from repro.xquery.semantics import check_query
 
 
-class FederatedXomatiQ:
+class FederatedXomatiQ(Engine):
     """Scatter-gather query engine over a :class:`ShardCatalog`."""
 
     def __init__(self, catalog: ShardCatalog,
@@ -75,11 +77,12 @@ class FederatedXomatiQ:
         rule-based until then); ``stats_path`` is where refreshed
         statistics persist (defaults to the shard map's sibling
         ``.stats.json`` when opened via :meth:`from_shard_map`)."""
-        from repro.obs import resolve_metrics, resolve_tracer
+        from repro.obs import EventLog, resolve_metrics, resolve_tracer
         self.catalog = catalog
         self.registry = registry or SourceRegistry()
         self.validate_sources = validate_sources
         self.metrics = resolve_metrics(metrics)
+        self.events = EventLog()
         if self.catalog.metrics is None:
             # shard warehouses record into the facade's registry too
             self.catalog.metrics = self.metrics
@@ -115,23 +118,11 @@ class FederatedXomatiQ:
 
     # -- querying -------------------------------------------------------------
 
-    def enable_tracing(self, tracer=None, max_spans: int | None = None):
-        """Turn span tracing on after construction (idempotent; the
-        :meth:`~repro.engine.Warehouse.enable_tracing` counterpart).
-        One tracer is shared by the coordinator, the scatter-gather
-        executor, and every shard warehouse, so a federated query's
-        trace is a single connected tree. Returns the tracer."""
-        from repro.obs import Tracer
-        if tracer is None:
-            tracer = (self.tracer if self.tracer.enabled
-                      else Tracer(max_spans=max_spans))
-        self.tracer = tracer
-        if max_spans is not None:
-            tracer.max_spans = max_spans
-        tracer.adopt_metrics(self.metrics)
+    def _trace_with(self, tracer) -> None:
+        # one tracer for the coordinator, the executor and every shard
+        # warehouse, so a federated query's trace is one connected tree
         self.executor.tracer = tracer
         self.catalog.set_tracer(tracer)
-        return tracer
 
     def query(self, text: str,
               deadline_s: float | None = None) -> QueryResult:
@@ -205,6 +196,13 @@ class FederatedXomatiQ:
             summary["shards_skipped"] = skipped
         return summary
 
+    @property
+    def retry_after_s(self) -> int:
+        """Seconds a caller that refused a partial answer should wait:
+        the breaker cooldown, rounded up (at least 1 s) — by then the
+        lost shard has either probed healthy or stayed open."""
+        return max(1, math.ceil(self.executor.policy.breaker_cooldown_s))
+
     def optimizer_stats(self) -> dict:
         """JSON-ready optimizer state (the service's ``/stats`` block):
         the statistics-catalog summary plus the pushdown cutoffs."""
@@ -258,18 +256,34 @@ class FederatedXomatiQ:
         return {source: sum(self.load_text(source, text).values())
                 for source, text in corpus.texts().items()}
 
+    def harvest(self, repository, **options):
+        """A federation has no single store to harvest into: each
+        shard warehouse harvests its own mirror."""
+        raise FederationError("harvest is a warehouse operation; "
+                              "run it per shard")
+
     # -- catalog / admin ------------------------------------------------------
 
-    def _probe_backends(self, shard: str) -> list[str]:
-        """Backend order for admin-path probes (stats, searches,
-        document resolution): backends with an open breaker go last,
-        so a probe reaches a healthy replica without first eating the
-        dead primary's failure mode. They stay in the list — with
-        every breaker open, trying is still better than lying."""
+    def _on_shard(self, shard: str, call):
+        """``call(warehouse)`` on the shard's first backend that
+        answers; raises the last degradable error when none does.
+
+        Backends with an open breaker go last, so an admin-path call
+        (searches, stats, document fetch) reaches a healthy replica
+        without first eating the dead primary's failure mode; replicas
+        hold the same slice, so any of them answers for the shard. The
+        open ones stay in the list — with every breaker open, trying
+        is still better than lying — and the breakers are only read:
+        half-open probing stays the query path's job."""
         backends = self.catalog.backends_for(shard)
         is_open = self.executor.breaker_is_open
-        return ([b for b in backends if not is_open(b)]
-                + [b for b in backends if is_open(b)])
+        error = None
+        for backend in sorted(backends, key=is_open):
+            try:
+                return call(self.catalog.warehouse(backend))
+            except DEGRADABLE as exc:
+                error = exc
+        raise error
 
     def document_exists(self, source: str,
                         collection: str | None) -> bool:
@@ -283,18 +297,11 @@ class FederatedXomatiQ:
         semantic check outright."""
         maybe = False
         for shard in self.catalog.shards_for(source):
-            answered = False
-            for backend in self._probe_backends(shard):
-                try:
-                    warehouse = self.catalog.warehouse(backend)
-                    found = warehouse.document_exists(source, collection)
-                except DEGRADABLE:
-                    continue
-                if found:
+            try:
+                if self._on_shard(shard, lambda warehouse: warehouse
+                                  .document_exists(source, collection)):
                     return True
-                answered = True
-                break
-            if not answered:
+            except DEGRADABLE:
                 maybe = True
         return maybe
 
@@ -310,17 +317,13 @@ class FederatedXomatiQ:
         results, same degradation contract as :meth:`query`."""
         hits: list[dict] = []
         for name in self.catalog.shard_names():
-            for backend in self._probe_backends(name):
-                try:
-                    warehouse = self.catalog.warehouse(backend)
-                    found = warehouse.keyword_search(phrase,
-                                                     source=source,
-                                                     limit=limit)
-                except DEGRADABLE:
-                    continue
-                for hit in found:
-                    hits.append({**hit, "shard": name})
-                break
+            try:
+                found = self._on_shard(name, lambda warehouse: warehouse
+                                       .keyword_search(phrase, source=source,
+                                                       limit=limit))
+            except DEGRADABLE:
+                continue
+            hits.extend({**hit, "shard": name} for hit in found)
         hits.sort(key=lambda hit: (-hit["matches"], hit["shard"],
                                    hit["doc_id"]))
         return hits[:limit]
@@ -346,15 +349,11 @@ class FederatedXomatiQ:
         shard with none maps to ``{"error": reason}``."""
         out: dict[str, dict] = {}
         for name in self.catalog.shard_names():
-            error: Exception | None = None
-            for backend in self._probe_backends(name):
-                try:
-                    out[name] = self.catalog.warehouse(backend).stats()
-                    break
-                except DEGRADABLE as exc:
-                    error = exc
-            else:
-                out[name] = {"error": str(error)}
+            try:
+                out[name] = self._on_shard(
+                    name, lambda warehouse: warehouse.stats())
+            except DEGRADABLE as exc:
+                out[name] = {"error": str(exc)}
         return out
 
     def health(self, stale_after_s: float | None = None) -> dict:
@@ -373,9 +372,7 @@ class FederatedXomatiQ:
         for name in self.catalog.shard_names():
             try:
                 report = self.catalog.warehouse(name).health(
-                    stale_after_s=stale_after_s) \
-                    if stale_after_s is not None \
-                    else self.catalog.warehouse(name).health()
+                    stale_after_s=stale_after_s)
             except DEGRADABLE as exc:
                 shards[name] = {"status": "unreachable",
                                 "error": str(exc)}
@@ -461,27 +458,31 @@ class FederatedXomatiQ:
 
     # -- document fetch -------------------------------------------------------
 
-    def find_document_shard(self, doc_id: int) -> str | None:
-        """The shard holding a document id, or None when no reachable
-        shard has it. Doc ids are per-shard sequences, so the same id
-        can exist on several shards — catalog order wins, which is
-        deterministic; callers needing a specific shard pass it
-        explicitly (the service keeps ``?shard=`` as an override).
-        A shard whose primary is down is asked through its replicas
-        (they hold the same documents)."""
+    def find_document(self, doc_id: int,
+                      shard: str | None = None) -> Document:
+        """The document stored under ``doc_id`` on ``shard``; without
+        one, on the first shard in catalog order that holds it. Doc ids
+        are per-shard sequences, so the same id can exist on several
+        shards — catalog order is deterministic, and callers needing a
+        specific shard name it (the service's ``?shard=``). Each shard
+        answers through its first healthy backend; unreachable shards
+        are skipped. :class:`UnknownDocumentError` when none has it."""
+        def find(warehouse):
+            return warehouse.find_document(doc_id)
+
+        if shard is not None:
+            try:
+                return self._on_shard(shard, find)
+            except DEGRADABLE:
+                raise UnknownDocumentError(
+                    f"shard {shard!r} has no reachable backend") from None
         for name in self.catalog.shard_names():
-            for backend in self._probe_backends(name):
-                try:
-                    warehouse = self.catalog.warehouse(backend)
-                    rows = warehouse.backend.execute(
-                        "SELECT doc_id FROM documents WHERE doc_id = ?",
-                        (doc_id,))
-                except DEGRADABLE:
-                    continue
-                if rows:
-                    return name
-                break
-        return None
+            try:
+                return self._on_shard(name, find)
+            except (UnknownDocumentError, *DEGRADABLE):
+                continue
+        raise UnknownDocumentError(f"no document with doc_id {doc_id} "
+                                   f"on any reachable shard")
 
     def fetch_document(self, node) -> Document:
         """Reconstruct the document behind a federated binding (the
@@ -491,23 +492,8 @@ class FederatedXomatiQ:
             raise FederationError(
                 "federated document fetch needs a ShardBoundNode "
                 "binding from a federated QueryResult")
-        last_exc: Exception | None = None
-        for backend in self._probe_backends(node.shard):
-            try:
-                return self.catalog.warehouse(backend) \
-                    .fetch_document(node)
-            except DEGRADABLE as exc:
-                last_exc = exc
-        raise last_exc
-
-    def fetch_document_xml(self, row: ResultRow, variable: str) -> str:
-        """Serialized document behind one result row's variable."""
-        try:
-            node = row.bindings[variable]
-        except KeyError:
-            raise UnknownDocumentError(
-                f"result row has no binding for ${variable}") from None
-        return serialize(self.fetch_document(node))
+        return self._on_shard(node.shard,
+                              lambda warehouse: warehouse.fetch_document(node))
 
     def close(self) -> None:
         """Release every catalog-owned shard warehouse."""

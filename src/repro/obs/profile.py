@@ -85,9 +85,12 @@ def profile_query(warehouse, text: str,
 
 def format_profile(report: ProfileReport, sql: bool = True,
                    max_statements: int | None = None) -> str:
-    """Human-readable rendering of one profile."""
+    """Human-readable rendering of one profile. The header carries the
+    root span's counters, so a compiled-query cache hit (no stage but
+    ``tag``) says ``cache.hit=1`` there."""
     lines = [f"profile [{report.backend}]: {report.rows} rows, "
-             f"{report.trace.duration_ms:.2f} ms total"]
+             f"{report.trace.duration_ms:.2f} ms total"
+             f"{_counters(report.trace)}"]
     lines.append("stages:")
     for child in report.trace.children:
         _render_span(child, lines, indent=1)
@@ -114,12 +117,15 @@ def format_profile(report: ProfileReport, sql: bool = True,
     return "\n".join(lines)
 
 
-def _render_span(span: Span, lines: list[str], indent: int) -> None:
-    pad = "  " * indent
+def _counters(span: Span) -> str:
     counters = " ".join(f"{key}={value}"
                         for key, value in sorted(span.counters.items()))
-    suffix = f"   {counters}" if counters else ""
+    return f"   {counters}" if counters else ""
+
+
+def _render_span(span: Span, lines: list[str], indent: int) -> None:
+    pad = "  " * indent
     lines.append(f"{pad}{span.name:<12} {span.duration_ms:>9.2f} ms"
-                 f"{suffix}")
+                 f"{_counters(span)}")
     for child in span.children:
         _render_span(child, lines, indent + 1)

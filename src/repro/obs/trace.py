@@ -25,6 +25,7 @@ import os
 import re
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -316,6 +317,19 @@ class Tracer:
         stack.append(span)
         return _SpanScope(self, span, stack)
 
+    @contextmanager
+    def inside(self, span: Span):
+        """Open spans and statements of the calling thread under
+        ``span``, an open span of another thread, until the block ends
+        (the federated executor's attempt threads join their shard
+        subquery this way). ``span`` is not closed on exit."""
+        stack = self._stack()
+        stack.append(span)
+        try:
+            yield span
+        finally:
+            stack.pop()
+
     def adopt_metrics(self, metrics) -> None:
         """Feed ``trace.span_seconds`` into ``metrics`` unless this
         tracer already feeds a live registry (a tracer shared across
@@ -454,6 +468,9 @@ class NullTracer:
 
     def span(self, name: str, parent=None, context=None,
              **meta) -> _NullScope:
+        return _NULL_SCOPE
+
+    def inside(self, span) -> _NullScope:
         return _NULL_SCOPE
 
     def adopt_metrics(self, metrics) -> None:

@@ -56,12 +56,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
 from repro.engine import Warehouse
-from repro.errors import (
-    ReproError,
-    ShardUnreachableError,
-    StorageError,
-    UnknownDocumentError,
-)
+from repro.errors import ReproError, UnknownDocumentError
 from repro.obs.trace import TraceContext
 from repro.obs.tracestore import (
     TraceStore,
@@ -145,27 +140,24 @@ class QueryService:
     """Routes service requests onto one shared engine.
 
     ``engine`` is a :class:`~repro.engine.Warehouse` or a
-    :class:`~repro.federation.FederatedXomatiQ`; the service adapts to
-    whichever surface it finds (a federation rejects ``/harvest`` and
-    requires ``shard`` on document fetches). Protocol-independent so
-    tests and benchmarks can drive :meth:`handle` without sockets.
+    :class:`~repro.federation.FederatedXomatiQ`; both answer the same
+    calls (:class:`~repro.engine.Engine`), so the service never asks
+    which it holds — except to offer standing queries, which need a
+    warehouse's trigger hub. Protocol-independent so tests and
+    benchmarks can drive :meth:`handle` without sockets.
     """
 
     def __init__(self, engine, config: ServiceConfig | None = None,
                  events=None):
-        from repro.obs import NULL_TRACER, EventLog
+        from repro.obs import NULL_TRACER
         self.engine = engine
         self.config = config or ServiceConfig()
-        self.federated = not isinstance(engine, Warehouse) \
-            and hasattr(engine, "catalog")
         self.metrics = engine.metrics
-        self.events = events if events is not None else \
-            getattr(engine, "events", None) or EventLog()
+        self.events = events if events is not None else engine.events
         self.admission = AdmissionController(self.config.max_in_flight)
         self.rate_limiter = RateLimiter(self.config.rate_limit,
                                         self.config.rate_burst)
-        if self.config.trace_capacity > 0 \
-                and hasattr(engine, "enable_tracing"):
+        if self.config.trace_capacity > 0:
             #: shared with the engine — planner / shard / SQL spans
             #: nest under the per-request root this service opens
             self.tracer = engine.enable_tracing(
@@ -184,8 +176,7 @@ class QueryService:
         #: standing-query push (warehouse engines only: a federation
         #: has no trigger hub — subscribe per shard instead)
         self.subscriptions = None
-        if self.config.subscriptions and not self.federated \
-                and isinstance(engine, Warehouse):
+        if self.config.subscriptions and isinstance(engine, Warehouse):
             from repro.subscriptions import SubscriptionManager
             self.subscriptions = SubscriptionManager(
                 engine,
@@ -323,11 +314,9 @@ class QueryService:
             return self._traces(tail, params)
         if endpoint == "stats":
             payload = self.engine.stats()
-            optimizer = getattr(self.engine, "optimizer_stats", None)
+            optimizer = self.engine.optimizer_stats()
             if optimizer is not None:
-                # federated engines expose the cost-based optimizer's
-                # statistics-catalog state alongside warehouse counts
-                payload = {**payload, "optimizer": optimizer()}
+                payload = {**payload, "optimizer": optimizer}
             return Response(200, payload)
         return self._harvest(_json_body(body))
 
@@ -355,24 +344,18 @@ class QueryService:
                                    "of milliseconds")
             if deadline_s <= 0:
                 return _error(400, "X-Deadline-Ms must be positive")
-        if self.federated:
-            # the deadline propagates into per-shard task timeouts;
-            # stragglers past it are interrupted (docs/robustness.md)
-            result = self.engine.query(text, deadline_s=deadline_s)
-        else:
-            result = self.engine.query(text)
-        missing = list(getattr(result, "failed_shards", []))
+        result = self.engine.query(text, deadline_s=deadline_s)
+        missing = list(result.failed_shards)
         if not result.complete and mode == "strict":
             # strict callers would rather retry than act on a partial
-            # answer; Retry-After matches the breaker cooldown — by
-            # then the shard has either probed healthy or stayed open
+            # answer
             self.metrics.inc("service.strict_refusals")
             return Response(503, {
                 "error": "partial results refused (mode=strict)",
                 "reason": "degraded",
                 "missing_shards": missing,
                 "warnings": list(result.warnings),
-            }, headers={"Retry-After": str(self._retry_after_s())})
+            }, headers={"Retry-After": str(self.engine.retry_after_s)})
         degraded_headers = {}
         if not result.complete:
             degraded_headers["X-Partial-Results"] = "true"
@@ -392,15 +375,6 @@ class QueryService:
             "rows": [_row_record(row) for row in result.rows],
         }, headers=degraded_headers)
 
-    def _retry_after_s(self) -> int:
-        """Strict-mode 503s advise retrying after the federation's
-        breaker cooldown (rounded up; at least 1 s)."""
-        policy = getattr(getattr(self.engine, "executor", None),
-                         "policy", None)
-        if policy is None:
-            return 1
-        return max(1, int(-(-policy.breaker_cooldown_s // 1)))
-
     def _keyword(self, params: dict) -> Response:
         phrase = params.get("q", "")
         if not phrase.strip():
@@ -419,38 +393,12 @@ class QueryService:
         if not tail or not tail.isdigit():
             return _error(400, "document path must be "
                                "/documents/{doc_id}")
-        doc_id = int(tail)
-        probe = "SELECT doc_id FROM documents WHERE doc_id = ?"
-        if self.federated:
-            shard = params.get("shard")
-            if not shard:
-                # resolve the owning shard from the catalog (keyword
-                # hits still carry ?shard= as an explicit override)
-                shard = self.engine.find_document_shard(doc_id)
-                if shard is None:
-                    return _error(404, f"no document with doc_id "
-                                       f"{doc_id} on any reachable "
-                                       f"shard")
-            # the shard's first healthy backend answers — replicas
-            # hold the same documents as their primary
-            warehouse = rows = None
-            for backend in self.engine.catalog.backends_for(shard):
-                try:
-                    candidate = self.engine.catalog.warehouse(backend)
-                    rows = candidate.backend.execute(probe, (doc_id,))
-                except (ShardUnreachableError, StorageError):
-                    continue
-                warehouse = candidate
-                break
-            if warehouse is None:
-                return _error(404, f"shard {shard!r} has no reachable "
-                                   f"backend")
-        else:
-            warehouse = self.engine
-            rows = warehouse.backend.execute(probe, (doc_id,))
-        if not rows:
-            return _error(404, f"no document with doc_id {doc_id}")
-        document = warehouse.fetch_document(doc_id)
+        try:
+            document = self.engine.find_document(
+                int(tail), shard=params.get("shard") or None)
+        except UnknownDocumentError as exc:
+            # a plain message, so the 404 body's "type" stays "error"
+            return _error(404, str(exc))
         return Response(200, body=serialize(document).encode("utf-8"),
                         content_type=XML_CONTENT_TYPE)
 
@@ -497,9 +445,6 @@ class QueryService:
         })
 
     def _harvest(self, request: dict) -> Response:
-        if self.federated:
-            return _error(400, "harvest is a warehouse operation; "
-                               "run it per shard")
         repo = request.get("repo")
         if not isinstance(repo, str) or not repo:
             return _error(400, 'body must carry a "repo" mirror '

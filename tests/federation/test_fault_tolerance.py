@@ -170,18 +170,32 @@ class TestFailover:
         finally:
             federation.close()
 
-    def test_retry_delay_uses_injected_sleep(self, corpus):
-        policy = FaultPolicy(hedge=False, retries_per_backend=2,
-                             retry_delay_s=0.25)
+    @pytest.mark.parametrize("replicas", [0, 1], ids=["alone", "replica"])
+    def test_retry_starts_after_the_delay(self, corpus, replicas):
+        # a replica (with hedging armed but far off) used to route the
+        # subquery onto an attempt loop that dropped the retry delay
+        policy = FaultPolicy(retries_per_backend=2, retry_delay_s=0.2,
+                             hedge_delay_s=30.0)
         federation, chaos, registry = fault_federation(
-            corpus, policy=policy)
-        slept: list[float] = []
-        federation.executor.sleep = slept.append
+            corpus, replicas=replicas, policy=policy)
+        starts: list[tuple[str, float]] = []
+        query_backend = federation.executor._query_backend
+
+        def recording(text, ast, backend):
+            starts.append((backend, time.monotonic()))
+            return query_backend(text, ast, backend)
+
+        federation.executor._query_backend = recording
         try:
             fplan = plan_then_arm(federation, {
                 chaos: ChaosPlan().fail_then_succeed(FAULTY, 1)})
             assert federation.executor.execute(fplan).complete
-            assert slept == [0.25]      # recorded, never actually slept
+            first, retry = [at for backend, at in starts
+                            if backend == FAULTY]
+            assert retry - first >= 0.2
+            assert registry.get_counter("federation.shard_retries",
+                                        shard=FAULTY) == 1
+            assert registry.counter_total("federation.failovers") == 0
         finally:
             federation.close()
 

@@ -98,6 +98,14 @@ class TestProfileQuery:
         assert "SELECT" in text
         assert "plan:" in text
 
+    def test_format_profile_says_a_cached_query_was_a_hit(
+            self, small_warehouse):
+        cold = format_profile(small_warehouse.profile(QUERY))
+        warm = format_profile(small_warehouse.profile(QUERY))
+        assert "cache.miss=1" in cold.splitlines()[0]
+        header = warm.splitlines()[0]
+        assert "cache.hit=1" in header and "cache.miss" not in header
+
 
 class TestExport:
     def test_span_dict_schema(self, small_warehouse):
