@@ -69,8 +69,9 @@ def test_e8_full_reload_baseline(benchmark, fraction):
 
 
 def test_e8_diff_detection_cost(benchmark):
-    """The overhead side: computing the diff itself (fingerprint both
-    releases) without applying anything."""
+    """The overhead side: computing the diff itself by parsing and
+    fingerprinting both releases (the parse-everything oracle), without
+    applying anything."""
     from repro.datahounds import ReleaseSnapshot, diff_releases
     from repro.datahounds.sources.enzyme import EnzymeTransformer
     from repro.flatfile import parse_entries
@@ -89,3 +90,23 @@ def test_e8_diff_detection_cost(benchmark):
 
     plan = benchmark(run)
     assert plan.updated
+
+
+def test_e8_raw_text_fingerprints(benchmark):
+    """What a refresh pays for the entries it does not reload: split a
+    release into entries and fingerprint each one's raw text, with no
+    parsing (the hound parses only the entries whose fingerprint is
+    new)."""
+    from repro.datahounds import entry_fingerprint
+    from repro.datahounds import chunk_fingerprint
+    from repro.flatfile import parse_entries, scan_entries
+
+    __, release_2 = make_releases(0.25)
+
+    def run():
+        return [chunk_fingerprint(lines)
+                for __, lines in scan_entries(release_2.splitlines())]
+
+    fingerprints = benchmark(run)
+    assert fingerprints == [entry_fingerprint(entry)
+                            for entry in parse_entries(release_2)]

@@ -27,6 +27,7 @@ from repro.datahounds.triggers import ChangeEvent, TriggerHub
 from repro.datahounds.updates import (
     ReleaseSnapshot,
     UpdatePlan,
+    chunk_fingerprint,
     diff_releases,
     entry_fingerprint,
 )
@@ -50,6 +51,7 @@ __all__ = [
     "SourceTransformer",
     "TriggerHub",
     "UpdatePlan",
+    "chunk_fingerprint",
     "content_checksum",
     "diff_releases",
     "entry_fingerprint",

@@ -9,7 +9,8 @@ One :class:`DataHound` ties the pipeline together for a set of sources:
    (delegated to a :class:`DocumentStore`, implemented by
    :mod:`repro.shredding.loader`),
 4. **updates** — on refresh, only entries whose content changed are
-   re-transformed and re-loaded; vanished entries are removed,
+   parsed, re-transformed and re-loaded (unchanged ones are recognised
+   by the fingerprint of their raw text); vanished entries are removed,
 5. **triggers** — committed changes are announced to subscribed
    applications.
 
@@ -27,9 +28,15 @@ from typing import Protocol
 from repro.datahounds.registry import SourceRegistry
 from repro.datahounds.transformer import SourceTransformer
 from repro.datahounds.triggers import ChangeEvent, TriggerHub
-from repro.datahounds.updates import ReleaseSnapshot, UpdatePlan, diff_releases
+from repro.datahounds.updates import (
+    ReleaseSnapshot,
+    UpdatePlan,
+    chunk_fingerprint,
+    diff_releases,
+    entry_fingerprint,
+)
 from repro.errors import DataHoundsError, ReproError
-from repro.flatfile import Entry, parse_entries
+from repro.flatfile import Entry, parse_entry, scan_entries
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.trace import NULL_TRACER
 from repro.xmlkit import Document
@@ -39,8 +46,12 @@ class DocumentStore(Protocol):
     """Where shredded documents land (the relational warehouse).
 
     Stores may additionally expose ``load_snapshots()`` (restored when
-    a hound is constructed) and ``optimize()`` (run after each changed
-    release)."""
+    a hound is constructed: source → (release, key → fingerprint),
+    fingerprints as :func:`~repro.datahounds.updates.entry_fingerprint`
+    defines them) and ``optimize()`` (called after every round; the
+    warehouse loader runs ANALYZE there only when its document count
+    has drifted, see
+    :meth:`~repro.shredding.loader.WarehouseLoader.optimize`)."""
 
     def bulk_session(self):
         """One write transaction: a context manager with ``add(source,
@@ -186,15 +197,15 @@ class DataHound:
         with self.tracer.span("load", source=source) as load_span:
             with self.tracer.span("fetch"):
                 fetched = self.repository.fetch(source, release)
-                entries = parse_entries(fetched.text)
-            keyed = [(transformer.entry_key(entry), entry)
-                     for entry in entries]
+            previous = self._snapshots.get(source)
+            with self.tracer.span("parse"):
+                keyed, entry_map = self._fingerprint(
+                    transformer, fetched.text, previous)
             self._check_duplicate_keys(source, keyed)
 
             with self.tracer.span("diff"):
-                new_snapshot = ReleaseSnapshot.build(fetched.release, keyed)
-                plan = diff_releases(self._snapshots.get(source),
-                                     new_snapshot)
+                new_snapshot = ReleaseSnapshot(fetched.release, dict(keyed))
+                plan = diff_releases(previous, new_snapshot)
 
             # two-phase apply: transform every touched entry BEFORE
             # storing anything, so a malformed entry anywhere in the
@@ -203,7 +214,6 @@ class DataHound:
             # In quarantine mode a malformed entry is skipped and
             # reported instead, and its fingerprint is withheld from
             # the snapshot so the next refresh retries it.
-            entry_map = dict(keyed)
             staged: list[tuple[str, str, Document]] = []
             quarantined: list[str] = []
             with self.tracer.span("transform"):
@@ -226,13 +236,11 @@ class DataHound:
             # updated one keeps its previous fingerprint — either way
             # the next refresh sees it as still-pending work instead of
             # already-applied
-            old_snapshot = self._snapshots.get(source)
             for key in quarantined:
                 new_snapshot.fingerprints.pop(key, None)
-                if (old_snapshot is not None
-                        and key in old_snapshot.fingerprints):
+                if previous is not None and key in previous.fingerprints:
                     new_snapshot.fingerprints[key] = (
-                        old_snapshot.fingerprints[key])
+                        previous.fingerprints[key])
 
             # the round is one transaction: upserts, removals and the
             # snapshot commit together or, on failure, not at all
@@ -247,12 +255,14 @@ class DataHound:
             loaded = len(staged)
             self._snapshots[source] = new_snapshot
 
+            # planner statistics are refreshed only when the store's
+            # row counts have drifted (the store's optimize decides)
             optimize = getattr(self.store, "optimize", None)
-            if optimize is not None and not plan.is_noop:
-                with self.tracer.span("optimize"):
-                    optimize()
+            if optimize is not None:
+                optimize()
 
             load_span.count("entries", len(keyed))
+            load_span.count("parsed", len(entry_map))
             load_span.count("loaded", loaded)
             load_span.count("removed", len(plan.removed))
             if store_span.duration_s > 0:
@@ -373,9 +383,42 @@ class DataHound:
                 source, validate=self.validate)
         return self._transformers[source]
 
+    def _fingerprint(self, transformer: SourceTransformer, text: str,
+                     previous: ReleaseSnapshot | None
+                     ) -> tuple[list[tuple[str, str]], dict[str, Entry]]:
+        """Key and fingerprint every entry of a release, parsing only
+        the entries the previous snapshot does not already hold.
+
+        Each entry's raw text is fingerprinted first
+        (:func:`~repro.datahounds.updates.chunk_fingerprint`, equal to
+        :func:`~repro.datahounds.updates.entry_fingerprint` of the
+        parsed entry). A fingerprint the previous snapshot holds is an
+        unchanged entry, and its key comes from that snapshot. Every
+        other entry is parsed and keyed by the transformer. Returns the
+        ``(key, fingerprint)`` pairs in release order and the parsed
+        entries by key."""
+        known = ({fingerprint: key for key, fingerprint
+                  in previous.fingerprints.items()}
+                 if previous is not None else {})
+        keyed: list[tuple[str | None, str | None]] = []
+        parsed: list[tuple[int, Entry]] = []
+        for first, lines in scan_entries(text.splitlines()):
+            fingerprint = chunk_fingerprint(lines)
+            key = known.get(fingerprint)
+            if key is None:
+                parsed.append((len(keyed), parse_entry(first, lines)))
+            keyed.append((key, fingerprint))
+        entry_map: dict[str, Entry] = {}
+        for index, entry in parsed:
+            key = transformer.entry_key(entry)
+            fingerprint = keyed[index][1] or entry_fingerprint(entry)
+            keyed[index] = (key, fingerprint)
+            entry_map[key] = entry
+        return keyed, entry_map
+
     @staticmethod
     def _check_duplicate_keys(source: str,
-                              keyed: list[tuple[str, Entry]]) -> None:
+                              keyed: list[tuple[str, str]]) -> None:
         seen: set[str] = set()
         for key, __ in keyed:
             if key in seen:

@@ -7,8 +7,8 @@ so we model a remote repository as a set of *releases* per source, each
 release a full flat-file dump — the shape of a real FTP mirror
 (``enzyme.dat`` re-published monthly). Two implementations:
 
-* :class:`InMemoryRepository` — releases held as strings; used by tests
-  and the synthetic-corpus benchmarks,
+* :class:`InMemoryRepository` — releases held compressed in memory;
+  used by tests and the synthetic-corpus benchmarks,
 * :class:`DirectoryRepository` — releases on disk as
   ``<base>/<source>/<release>.dat``; used by the examples.
 
@@ -20,6 +20,7 @@ release already loaded has not changed.
 from __future__ import annotations
 
 import hashlib
+import zlib
 from pathlib import Path
 from time import perf_counter
 
@@ -33,10 +34,10 @@ def content_checksum(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
-def _record_fetch(metrics, source: str, text: str,
+def _record_fetch(metrics, source: str, size: int,
                   duration_s: float) -> None:
-    """Always-on transport metrics: fetch counts, bytes, latency."""
-    size = len(text.encode("utf-8"))
+    """Always-on transport metrics: fetch counts, ``size`` bytes,
+    latency."""
     metrics.inc("transport.fetches", source=source)
     metrics.inc("transport.fetch_bytes", size, source=source)
     metrics.observe("transport.fetch_seconds", duration_s)
@@ -70,7 +71,11 @@ class InMemoryRepository:
     """A fake FTP site whose releases live in a dict.
 
     Release ids sort lexicographically; the latest release is the
-    greatest id (use e.g. ``r2026-01``-style names).
+    greatest id (use e.g. ``r2026-01``-style names). Each release is
+    held zlib-compressed together with its checksum and byte length,
+    all computed once at :meth:`publish`: a long-lived mirror that
+    keeps every release it ever published then grows by a fraction of
+    each release's size, and :meth:`fetch` pays one decompression.
 
     ``metrics`` follows :class:`~repro.engine.Warehouse`: ``None`` (the
     default) records fetch count/bytes/latency into the process-wide
@@ -78,12 +83,15 @@ class InMemoryRepository:
     """
 
     def __init__(self, metrics=None):
-        self._releases: dict[str, dict[str, str]] = {}
+        #: source → release → (compressed UTF-8 text, checksum, bytes)
+        self._releases: dict[str, dict[str, tuple[bytes, str, int]]] = {}
         self.metrics = resolve_metrics(metrics)
 
     def publish(self, source: str, release: str, text: str) -> None:
         """Publish (or overwrite) a release of a source."""
-        self._releases.setdefault(source, {})[release] = text
+        payload = text.encode("utf-8")
+        self._releases.setdefault(source, {})[release] = (
+            zlib.compress(payload), content_checksum(text), len(payload))
 
     def sources(self) -> list[str]:
         """Published source names."""
@@ -109,12 +117,13 @@ class InMemoryRepository:
         if release is None:
             release = self.latest_release(source)
         try:
-            text = self._releases[source][release]
+            compressed, __, size = self._releases[source][release]
         except KeyError:
             _record_fetch_error(self.metrics, source)
             raise TransportError(
                 f"cannot fetch {source!r} release {release!r}") from None
-        _record_fetch(self.metrics, source, text, perf_counter() - start)
+        text = zlib.decompress(compressed).decode("utf-8")
+        _record_fetch(self.metrics, source, size, perf_counter() - start)
         return FetchResult(source, release, text)
 
     def checksum(self, source: str, release: str) -> str:
@@ -122,7 +131,7 @@ class InMemoryRepository:
         mirror publishes next to the dump); lets transport wrappers
         verify payload integrity independently of the fetch."""
         try:
-            return content_checksum(self._releases[source][release])
+            return self._releases[source][release][1]
         except KeyError:
             raise TransportError(
                 f"no checksum for {source!r} release {release!r}") from None
@@ -193,7 +202,8 @@ class DirectoryRepository:
             raise TransportError(
                 f"{source!r} release {release!r}: on-disk payload does "
                 f"not match its .sha sidecar (corrupted mirror copy)")
-        _record_fetch(self.metrics, source, text, perf_counter() - start)
+        _record_fetch(self.metrics, source, len(text.encode("utf-8")),
+                      perf_counter() - start)
         return FetchResult(source, release, text)
 
     def checksum(self, source: str, release: str) -> str | None:

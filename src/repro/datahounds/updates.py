@@ -11,10 +11,18 @@ new one yields exactly the adds, updates and removals to apply.
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro.flatfile import Entry, render_entry
+from repro.flatfile import TERMINATOR, Entry, render_entry
+
+#: a line (after a newline) whose columns 3-5 hold something other
+#: than spaces: either it does not parse, or (a tab there) its
+#: rendered form is not its text, so only parsing can fingerprint its
+#: entry. Anchored on the literal newline rather than ``^`` so the
+#: search skips from line to line.
+_IRREGULAR_LINE = re.compile(r"\n.. {0,2}[^ \n]")
 
 
 def entry_fingerprint(entry: Entry) -> str:
@@ -28,6 +36,31 @@ def entry_fingerprint(entry: Entry) -> str:
     """
     return hashlib.sha256(
         render_entry(entry).encode("utf-8")).hexdigest()
+
+
+def chunk_fingerprint(lines: list[str]) -> str | None:
+    """:func:`entry_fingerprint` of the entry that one entry's raw
+    lines (as :func:`~repro.flatfile.scan_entries` yields them) parse
+    to, computed from the text alone; None when the text cannot tell.
+
+    The text is normalised the way :func:`render_entry` writes an
+    entry: each line right-stripped, lines joined with ``\\n``, the
+    ``//`` terminator and one trailing newline appended. A line that
+    parses renders as exactly its right-stripped text whenever its
+    columns 3-5 are blank spaces, so for every such entry the two
+    fingerprints are equal and snapshots built either way agree. A
+    chunk with anything but spaces in some line's columns 3-5 returns
+    None (a tab there parses but renders as spaces; anything else
+    does not parse) and its caller parses it. Any other chunk that
+    does not parse still gets a digest, and it can never match the
+    fingerprint of a loaded entry: every line of a rendered entry
+    parses back to itself.
+    """
+    body = "\n".join([line.rstrip() for line in lines])
+    if _IRREGULAR_LINE.search("\n" + body):
+        return None
+    return hashlib.sha256(
+        f"{body}\n{TERMINATOR}\n".encode("utf-8")).hexdigest()
 
 
 @dataclass

@@ -199,7 +199,7 @@ class Warehouse(Engine):
         The release is one bulk session, so one transaction: rows are
         flushed one ``executemany`` per table per ``batch_size``
         documents, committed once at the end, and ANALYZE runs after
-        the commit."""
+        the commit when the document count has drifted."""
         from repro.flatfile import parse_entries
         return self.load_entries(source, parse_entries(flat_text),
                                  batch_size=batch_size)
@@ -220,13 +220,11 @@ class Warehouse(Engine):
         self.optimize()
         return count
 
-    def optimize(self) -> None:
-        """Refresh planner statistics after bulk loads (the paper's
-        query plans depended on Oracle's statistics; sqlite needs
-        ANALYZE for the same effect)."""
-        analyze = getattr(self.backend, "analyze", None)
-        if analyze is not None:
-            analyze()
+    def optimize(self) -> bool:
+        """Refresh planner statistics when the document count has
+        drifted (:meth:`WarehouseLoader.optimize
+        <repro.shredding.loader.WarehouseLoader.optimize>`)."""
+        return self.loader.optimize()
 
     def load_file(self, source: str, path,
                   batch_size: int | None = None) -> int:

@@ -11,7 +11,14 @@ from repro.flatfile.lines import (
     parse_line,
     render_wrapped,
 )
-from repro.flatfile.reader import Entry, iter_entries, parse_entries, read_entries
+from repro.flatfile.reader import (
+    Entry,
+    iter_entries,
+    parse_entries,
+    parse_entry,
+    read_entries,
+    scan_entries,
+)
 from repro.flatfile.writer import (
     entry_from_pairs,
     render_entries,
@@ -30,10 +37,12 @@ __all__ = [
     "entry_from_pairs",
     "iter_entries",
     "parse_entries",
+    "parse_entry",
     "parse_line",
     "read_entries",
     "render_entries",
     "render_entry",
     "render_wrapped",
+    "scan_entries",
     "write_entries",
 ]

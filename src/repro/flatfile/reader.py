@@ -54,34 +54,55 @@ class Entry:
         return seen
 
 
-def iter_entries(source: TextIO | Iterable[str]) -> Iterator[Entry]:
-    """Yield entries from an iterable of raw text lines.
+def scan_entries(source: TextIO | Iterable[str]
+                 ) -> Iterator[tuple[int, list[str]]]:
+    """Split raw text lines into entries without parsing them: yield
+    ``(first line number, raw lines)`` per entry, terminator excluded.
 
-    Blank lines between entries are tolerated; a non-blank trailing
-    fragment without its ``//`` terminator is an error (the paper's
-    update requirement — "without any information being left out" —
-    makes silently dropping a truncated entry unacceptable).
+    This is the one structural scanner of the format. Blank lines
+    between entries are tolerated; a blank line inside an entry, a
+    terminator with no entry and a non-blank trailing fragment without
+    its ``//`` terminator are errors (the paper's update requirement —
+    "without any information being left out" — makes silently dropping
+    a truncated entry unacceptable). Before raising one of those, the
+    lines of the entry it cuts short are parsed, so a malformed line
+    earlier in that entry is reported first, exactly as a line-by-line
+    reader would.
     """
-    current: list[Line] = []
-    line_number = 0
-    for raw in source:
-        line_number += 1
-        if not raw.strip():
-            if current:
-                raise FlatFileError(
-                    "blank line inside an entry", line_number)
-            continue
-        line = parse_line(raw, line_number)
-        if line.code == TERMINATOR:
+    current: list[str] = []
+    first = line_number = 0
+    for line_number, raw in enumerate(source, 1):
+        if raw.startswith(TERMINATOR):
             if not current:
                 raise FlatFileError("terminator with no entry", line_number)
-            yield Entry(current)
+            yield first, current
             current = []
-        else:
-            current.append(line)
+        elif raw.strip():
+            if not current:
+                first = line_number
+            current.append(raw)
+        elif current:
+            parse_entry(first, current)
+            raise FlatFileError("blank line inside an entry", line_number)
     if current:
+        parse_entry(first, current)
         raise FlatFileError(
             f"unterminated final entry ({len(current)} lines)", line_number)
+
+
+def parse_entry(first_line: int, lines: list[str]) -> Entry:
+    """Parse one entry's raw lines (as :func:`scan_entries` yields
+    them); errors carry input line numbers counted from
+    ``first_line``."""
+    return Entry([parse_line(raw, number)
+                  for number, raw in enumerate(lines, first_line)])
+
+
+def iter_entries(source: TextIO | Iterable[str]) -> Iterator[Entry]:
+    """Yield parsed entries from an iterable of raw text lines (see
+    :func:`scan_entries` for the structural rules)."""
+    for first, lines in scan_entries(source):
+        yield parse_entry(first, lines)
 
 
 def read_entries(path: str | Path) -> list[Entry]:

@@ -60,6 +60,12 @@ _SNAPSHOT_DDL = ("CREATE TABLE hound_snapshots ("
                  "release_id TEXT NOT NULL, "
                  "fingerprints TEXT NOT NULL)")
 
+#: relative change of any one source's ``documents`` row count since
+#: the last ANALYZE past which :meth:`WarehouseLoader.optimize`
+#: refreshes the planner statistics; smaller moves leave the estimates
+#: close enough that the plans do not change
+ANALYZE_DRIFT = 0.10
+
 #: ids per IN-list statement — small enough for every backend's
 #: parameter limit, large enough to amortize statement overhead
 _IN_CHUNK = 200
@@ -125,12 +131,26 @@ class WarehouseLoader:
         if create:
             create_schema(backend, options)
         self._ensure_snapshot_table()
-        self._next_doc_id = self._load_max_doc_id() + 1
+        #: source → ``documents`` row count, kept by the sessions from
+        #: the rows they insert and delete (no statement counts it per
+        #: round); :meth:`_sync_documents` also sets ``_next_doc_id``
+        self.documents: Counter[str]
+        self._sync_documents()
+        #: :attr:`documents` at the last ANALYZE of this process; a
+        #: reopened warehouse's statistics are not trusted, so its
+        #: first optimize with documents present analyzes
+        self._analyzed_documents: Counter[str] = Counter()
 
-    def _load_max_doc_id(self) -> int:
-        rows = self.backend.execute("SELECT MAX(doc_id) FROM documents")
-        value = rows[0][0] if rows else None
-        return value if isinstance(value, int) else 0
+    def _sync_documents(self) -> None:
+        """Re-read the per-source document counts and the next free
+        doc id."""
+        rows = self.backend.execute(
+            "SELECT source, COUNT(*), MAX(doc_id) FROM documents "
+            "GROUP BY source")
+        self.documents = Counter({source: count
+                                  for source, count, __ in rows})
+        self._next_doc_id = max((top for __, __, top in rows),
+                                default=0) + 1
 
     def _ensure_snapshot_table(self) -> None:
         # probe-then-create instead of IF NOT EXISTS: minidb's dialect
@@ -178,13 +198,33 @@ class WarehouseLoader:
 
     # -- reads ---------------------------------------------------------------------
 
-    def optimize(self) -> None:
-        """Refresh backend planner statistics (no-op for backends
-        without an ``analyze`` hook). The hound calls this after each
-        release load."""
-        analyze = getattr(self.backend, "analyze", None)
-        if analyze is not None:
-            analyze()
+    def optimize(self) -> bool:
+        """Refresh the backend's planner statistics (the paper's query
+        plans depended on Oracle's statistics; sqlite needs ANALYZE for
+        the same effect) when some source's ``documents`` row count has
+        moved by more than :data:`ANALYZE_DRIFT` since the last
+        ANALYZE; returns whether it analyzed. A first load into an
+        empty warehouse, and the first load of a new source, always
+        count as drift. Loads and harvest rounds call this after their
+        commit; the ``optimize`` span records ``analyzed`` (0/1) and
+        the ``drift`` ratio. It holds :attr:`write_lock`, so the counts
+        it reads are committed ones and ANALYZE never runs inside
+        another thread's open session on a shared connection."""
+        with self.tracer.span("optimize") as span, self.write_lock:
+            now, then = self.documents, self._analyzed_documents
+            drift = max((abs(now[source] - then[source])
+                         / max(then[source], 1)
+                         for source in now.keys() | then.keys()),
+                        default=0.0)
+            analyzed = drift > ANALYZE_DRIFT
+            if analyzed:
+                analyze = getattr(self.backend, "analyze", None)
+                if analyze is not None:
+                    analyze()
+                self._analyzed_documents = Counter(now)
+            span.count("analyzed", int(analyzed))
+            span.meta["drift"] = round(drift, 4)
+        return analyzed
 
     def load_snapshots(self) -> dict[str, tuple[str, dict[str, str]]]:
         """Every persisted snapshot: source → (release, fingerprint
@@ -258,7 +298,9 @@ class BulkLoadSession:
     document; a key removed after it was added is gone, and one added
     after it was removed is stored. ``ANALYZE`` is deliberately left to
     the caller: :meth:`WarehouseLoader.optimize` runs once per release,
-    after the commit.
+    after the commit, and decides from the ``documents`` rows each
+    session inserted and deleted per source, which the session adds to
+    :attr:`WarehouseLoader.documents` when it commits.
 
     On an initial load into an empty warehouse the secondary indexes
     are dropped at ``__enter__`` and rebuilt sorted before the commit —
@@ -283,6 +325,8 @@ class BulkLoadSession:
         self._flushed_keys: set[tuple[str, str]] = set()
         #: documents added so far (within-batch replacements included)
         self.documents_loaded = 0
+        #: source → ``documents`` rows written less rows deleted
+        self._tally: Counter[str] = Counter()
         #: batch flushes written (none of them committed on its own)
         self.flushes = 0
         self._pending: list[tuple[tuple[str, str], ShreddedDocument] | None]
@@ -379,6 +423,7 @@ class BulkLoadSession:
             span.count("documents", len(pending))
         metrics.inc("load.flushes")
         for source, count in Counter(key[0] for key, __ in pending).items():
+            self._tally[source] += count
             metrics.inc("load.documents", count, source=source)
         metrics.observe("load.flush_seconds", perf_counter() - start)
         metrics.observe("load.batch_documents", len(pending),
@@ -418,6 +463,7 @@ class BulkLoadSession:
             except BaseException:
                 self._rollback()
                 raise
+            self.loader.documents.update(self._tally)
             self._finish()
         finally:
             self.loader.write_lock.release()
@@ -430,7 +476,7 @@ class BulkLoadSession:
         loader.backend.rollback()
         # the rollback drops the session's rows, so the doc ids it
         # reserved are free again (minidb keeps its flushed batches)
-        loader._next_doc_id = loader._load_max_doc_id() + 1
+        loader._sync_documents()
         if self._indexes_dropped:
             # the drops ran before the transaction began, so they
             # survive the rollback and the index set must come back
@@ -502,6 +548,7 @@ class BulkLoadSession:
                 "AND entry_key IN ({placeholders})",
                 entry_keys, params=(source,))
             doomed.extend(row[0] for row in rows)
+            self._tally[source] -= len(rows)
         for table in TABLE_NAMES:
             execute_in_chunks(
                 backend,

@@ -1,5 +1,8 @@
 """Unit tests for the simulated transport layer."""
 
+import gc
+import tracemalloc
+
 import pytest
 
 from repro.datahounds import (
@@ -8,6 +11,7 @@ from repro.datahounds import (
     content_checksum,
 )
 from repro.errors import TransportError
+from repro.synth import generate_enzyme_release, mutate_release
 
 
 class TestInMemoryRepository:
@@ -49,6 +53,45 @@ class TestInMemoryRepository:
         other = repo.fetch("hlx_enzyme", "r2")
         assert first.checksum == again.checksum
         assert first.checksum != other.checksum
+
+
+class TestInMemoryStorage:
+    """Releases are held compressed, with their checksum computed once
+    at publish."""
+
+    def test_fetched_text_round_trips_exactly(self):
+        text = ("ID   1.1.1.1\r\nDE   Übergangs-β-lactamase — «test».  \n"
+                "CC   -!- 日本語 \t tab.\n//\n\n")
+        repo = InMemoryRepository(metrics=False)
+        repo.publish("hlx_enzyme", "r1", text)
+        assert repo.fetch("hlx_enzyme", "r1").text == text
+        assert repo.checksum("hlx_enzyme", "r1") == content_checksum(text)
+        assert repo.fetch("hlx_enzyme").checksum == content_checksum(text)
+
+    def test_fifty_releases_take_a_quarter_of_their_size(self):
+        """What the repository keeps once the publisher has dropped its
+        copies: under a quarter of the releases' raw size."""
+        text = generate_enzyme_release(seed=2, count=400)
+        repo = InMemoryRepository(metrics=False)
+        raw, checksums = 0, []
+        tracemalloc.start()
+        try:
+            for number in range(50):
+                text = mutate_release(text, seed=number,
+                                      update_fraction=0.01,
+                                      remove_fraction=0.0025)
+                repo.publish("hlx_enzyme", f"r{number:02d}", text)
+                raw += len(text.encode("utf-8"))
+                checksums.append(content_checksum(text))
+            del text
+            gc.collect()
+            stored = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert stored < 0.25 * raw
+        for number in (0, 17, 49):
+            fetched = repo.fetch("hlx_enzyme", f"r{number:02d}")
+            assert content_checksum(fetched.text) == checksums[number]
 
 
 class TestDirectoryRepository:

@@ -257,8 +257,10 @@ class TestHoundSpans:
         load_span = warehouse.tracer.last_span("load")
         assert load_span is not None
         names = [c.name for c in load_span.children]
-        for phase in ("fetch", "diff", "transform", "store", "optimize"):
+        for phase in ("fetch", "parse", "diff", "transform", "store",
+                      "optimize"):
             assert phase in names
         assert load_span.counters["entries"] == 5
+        assert load_span.counters["parsed"] == 5
         assert load_span.counters["loaded"] == 5
         assert load_span.meta["entries_per_s"] > 0

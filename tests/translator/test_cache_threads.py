@@ -126,10 +126,20 @@ class TestWarehouseCacheUnderThreads:
             except Exception as exc:   # noqa: BLE001
                 errors.append(exc)
 
+        cache = warehouse.xomatiq.cache
+
         def bumper():
             try:
+                seen = cache.stats()["hits"]
                 while not stop.is_set():
-                    warehouse.loader.bump_generation()
+                    # bump only once a read has hit since the last
+                    # bump: however the threads are scheduled, the
+                    # bumps cannot starve the readers of hits, and
+                    # they still land between their gets and puts
+                    hits = cache.stats()["hits"]
+                    if hits > seen:
+                        seen = hits
+                        warehouse.loader.bump_generation()
                     # yield the GIL: a busy-spinning bumper convoys
                     # the readers without adding to the race
                     time.sleep(0)
@@ -147,7 +157,7 @@ class TestWarehouseCacheUnderThreads:
         stop.set()
         bump_thread.join()
         assert errors == []
-        stats = warehouse.xomatiq.cache.stats()
+        stats = cache.stats()
         assert stats["size"] <= 4
         # the race happened: bumps invalidated entries mid-traffic
         # while other reads still hit
